@@ -19,7 +19,7 @@ from esdib import (
     default_params,
     export_mesh_snapshot,
     initial_condition,
-    run_stationary,
+    run,
 )
 from esdib.meshgen import generate_square
 
@@ -34,7 +34,7 @@ state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
 
 print(f"flat sheet: {mesh.n_nodes} nodes, {mesh.n_triangles} triangles")
 print("integrating to T = 100 on the frozen surface ...")
-final, series = run_stationary(state, params, SolverConfig(tau=1e-2, T=100.0), stride=25)
+final, series = run(state, params, SolverConfig(tau=1e-2, T=100.0), stride=25)
 
 increments = series.column("inc_eta_l2")
 print(f"eta increment per sample: {increments[1]:.3e} (early) "

@@ -77,8 +77,7 @@ from .meshgen import (
     generate_icosphere,
     generate_square,
 )
-from .stationary import run_stationary
-from .stepper import SimState, SolverConfig, run, solve_spd, step
+from .stepper import SimState, SolverConfig, run, run_stationary, solve_spd, step
 from .vtkio import export_mesh_snapshot, read_vtk, write_obj, write_vtk
 
 __version__ = "0.1.0"

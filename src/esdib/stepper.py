@@ -18,7 +18,9 @@ and solved by Jacobi-preconditioned conjugate gradients warm-started from the
 previous field.
 
 With ``kappa = 0`` the mesh object is reused unchanged and the same update
-reduces to the classic fixed-surface scheme.
+reduces to the classic fixed-surface scheme.  Mass, stiffness and both system
+matrices are then constant, so :func:`run` builds the operators once, before
+the loop, and only the right-hand sides change from step to step.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from scipy.sparse import csr_matrix
 
 from .assembly import LumpedMass, StiffnessPattern, assemble_lumped_mass, assemble_stiffness
 from .diagnostics import DiagnosticsSeries
-from .errors import DegeneracyStop, NumericsError, SolverConvergenceError
+from .errors import DegeneracyStop, ModeError, NumericsError, SolverConvergenceError
 from .kinetics import KineticsParams, eval_f, eval_g
-from .mesh import SurfaceMesh, compute_node_normals, displace_nodes, mesh_quality
+from .mesh import MeshQuality, SurfaceMesh, compute_node_normals, displace_nodes, mesh_quality
 
 
 @dataclass
@@ -161,13 +163,38 @@ def _diffusion_system(
     )
 
 
+def _diffusion_systems(
+    mesh: SurfaceMesh,
+    pattern: StiffnessPattern,
+    mass_old: LumpedMass,
+    mass_new: LumpedMass,
+    tau: float,
+    d: float,
+) -> tuple[csr_matrix, csr_matrix]:
+    """The eta and theta system matrices on ``mesh``; the stiffness is not kept."""
+    stiff = assemble_stiffness(mesh, pattern)
+    return (
+        _diffusion_system(stiff, pattern, mass_old.diag, tau, 1.0),
+        _diffusion_system(stiff, pattern, mass_new.diag, tau, d),
+    )
+
+
+def _frozen_operators(
+    mesh: SurfaceMesh,
+    pattern: StiffnessPattern,
+    mass: LumpedMass,
+    params: KineticsParams,
+    cfg: SolverConfig,
+) -> tuple[tuple[csr_matrix, csr_matrix], MeshQuality]:
+    """System matrices and quality of a surface that does not move."""
+    return _diffusion_systems(mesh, pattern, mass, mass, cfg.tau, params.d), mesh_quality(mesh)
+
+
 def _solve_fields(
     eta: np.ndarray,
     theta: np.ndarray,
     mass_old: LumpedMass,
-    mass_new: LumpedMass,
-    stiff_new: csr_matrix,
-    pattern: StiffnessPattern,
+    systems: tuple[csr_matrix, csr_matrix],
     params: KineticsParams,
     cfg: SolverConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +204,7 @@ def _solve_fields(
     g_vals = eval_g(eta, theta, params)
     rhs_eta = (mass_old.diag * eta) / tau + params.rho * (mass_old.diag * f_vals)
     rhs_theta = (mass_old.diag * theta) / tau + params.rho * (mass_old.diag * g_vals)
-    A_eta = _diffusion_system(stiff_new, pattern, mass_old.diag, tau, 1.0)
-    A_theta = _diffusion_system(stiff_new, pattern, mass_new.diag, tau, params.d)
+    A_eta, A_theta = systems
     eta_next = solve_spd(A_eta, rhs_eta, cfg.cg_tol, cfg.cg_maxiter, x0=eta)
     theta_next = solve_spd(A_theta, rhs_theta, cfg.cg_tol, cfg.cg_maxiter, x0=theta)
     return eta_next, theta_next
@@ -192,10 +218,9 @@ def _check_finite(state_index: int, *arrays: np.ndarray) -> None:
             )
 
 
-def _resolve_min_area(cfg: SolverConfig, mesh: SurfaceMesh) -> float:
+def _resolve_min_area(cfg: SolverConfig, mesh: SurfaceMesh, mass: LumpedMass) -> float:
     if cfg.min_triangle_area is not None:
         return cfg.min_triangle_area
-    mass = assemble_lumped_mass(mesh)
     return 1e-12 * (mass.total() / mesh.n_triangles)
 
 
@@ -206,8 +231,14 @@ def _advance(
     pattern: StiffnessPattern,
     mass: LumpedMass,
     min_area: float,
-) -> tuple[SimState, LumpedMass]:
-    """One step given precomputed pattern, old mass, and resolved threshold."""
+    frozen: tuple[tuple[csr_matrix, csr_matrix], MeshQuality] | None = None,
+) -> tuple[SimState, LumpedMass, MeshQuality]:
+    """One step given precomputed pattern, old mass, and resolved threshold.
+
+    Returns the new state with its lumped mass and mesh quality.  At
+    ``kappa = 0`` the system matrices and quality come from ``frozen``
+    (see :func:`_frozen_operators`), or are built afresh when it is omitted.
+    """
     if params.kappa != 0.0:
         normals = compute_node_normals(state.mesh)
         displacement = (cfg.tau * params.kappa) * state.eta[:, None] * normals
@@ -222,13 +253,14 @@ def _advance(
                 time=state.t + cfg.tau,
             )
         mass_new = assemble_lumped_mass(mesh_new)
+        systems = _diffusion_systems(mesh_new, pattern, mass, mass_new, cfg.tau, params.d)
     else:
         mesh_new = state.mesh
         mass_new = mass
-    stiff_new = assemble_stiffness(mesh_new, pattern)
-    eta_next, theta_next = _solve_fields(
-        state.eta, state.theta, mass, mass_new, stiff_new, pattern, params, cfg
-    )
+        if frozen is None:
+            frozen = _frozen_operators(mesh_new, pattern, mass, params, cfg)
+        systems, quality = frozen
+    eta_next, theta_next = _solve_fields(state.eta, state.theta, mass, systems, params, cfg)
     _check_finite(state.step_index + 1, eta_next, theta_next)
     next_state = SimState(
         t=state.t + cfg.tau,
@@ -237,14 +269,15 @@ def _advance(
         theta=theta_next,
         step_index=state.step_index + 1,
     )
-    return next_state, mass_new
+    return next_state, mass_new, quality
 
 
 def step(state: SimState, params: KineticsParams, cfg: SolverConfig) -> SimState:
     """Advance one time step; see the module docstring for the scheme.
 
-    Convenience single-shot form: the sparsity pattern and old mass matrix
-    are rebuilt on every call.  Inside :func:`run` they are cached.
+    Convenience single-shot form: the sparsity pattern, the old mass matrix
+    and the system matrices are rebuilt on every call.  Inside :func:`run`
+    the pattern is cached, and so are the operators of a frozen surface.
 
     Raises
     ------
@@ -257,8 +290,8 @@ def step(state: SimState, params: KineticsParams, cfg: SolverConfig) -> SimState
     _check_state(state)
     pattern = StiffnessPattern(state.mesh.triangles, state.mesh.n_nodes)
     mass = assemble_lumped_mass(state.mesh)
-    min_area = _resolve_min_area(cfg, state.mesh)
-    next_state, _ = _advance(state, params, cfg, pattern, mass, min_area)
+    min_area = _resolve_min_area(cfg, state.mesh, mass)
+    next_state, _, _ = _advance(state, params, cfg, pattern, mass, min_area)
     return next_state
 
 
@@ -283,7 +316,9 @@ def run(
     Samples are recorded at step 0, every ``stride`` steps, and at the final
     step; observers are called at each sample with the state and the current
     lumped mass.  A degeneracy stop ends the run cleanly: the last valid
-    state is returned and the series is flagged as stopped.
+    state is returned and the series is flagged as stopped.  On a frozen
+    surface (``kappa = 0``) the system matrices and mesh quality are built
+    once, before the first step.
 
     Returns
     -------
@@ -302,23 +337,48 @@ def run(
 
     pattern = StiffnessPattern(initial.mesh.triangles, initial.mesh.n_nodes)
     mass = assemble_lumped_mass(initial.mesh)
-    min_area = _resolve_min_area(cfg, initial.mesh)
+    min_area = _resolve_min_area(cfg, initial.mesh, mass)
+    frozen = None if evolving else _frozen_operators(initial.mesh, pattern, mass, params, cfg)
+    quality = mesh_quality(initial.mesh) if frozen is None else frozen[1]
 
-    def sample(state: SimState, current_mass: LumpedMass) -> None:
-        series.record(state, current_mass, mesh_quality(state.mesh))
+    def sample(state: SimState, current_mass: LumpedMass, quality: MeshQuality) -> None:
+        series.record(state, current_mass, quality)
         for obs in observers:
             obs(state, current_mass)
 
     state = initial
-    sample(state, mass)
+    sample(state, mass, quality)
     for k in range(1, n_steps + 1):
         try:
-            state, mass = _advance(state, params, cfg, pattern, mass, min_area)
+            state, mass, quality = _advance(
+                state, params, cfg, pattern, mass, min_area, frozen
+            )
         except DegeneracyStop as stop:
             series.mark_stopped(str(stop))
             if (k - 1) % stride != 0:  # pre-step state not sampled yet
-                sample(state, mass)
+                sample(state, mass, quality)
             return state, series
         if k % stride == 0 or k == n_steps:
-            sample(state, mass)
+            sample(state, mass, quality)
     return state, series
+
+
+def run_stationary(
+    initial: SimState,
+    params: KineticsParams,
+    cfg: SolverConfig,
+    observers: Sequence[Callable[[SimState, LumpedMass], None]] = (),
+    stride: int = 10,
+) -> tuple[SimState, DiagnosticsSeries]:
+    """:func:`run` on a frozen surface, refusing a surface that would move.
+
+    Raises
+    ------
+    ModeError
+        ``params.kappa`` is nonzero.
+    """
+    if params.kappa != 0.0:
+        raise ModeError(
+            f"fixed-surface solver requires kappa = 0, got {params.kappa}"
+        )
+    return run(initial, params, cfg, observers, stride)

@@ -23,10 +23,24 @@ from esdib import (
     step,
     surface_area,
 )
-from esdib.mesh import triangle_areas
+from esdib import stepper
+from esdib.mesh import mesh_quality, triangle_areas
 from esdib.meshgen import generate_icosphere, generate_square
 
-from conftest import pure_diffusion_params
+from conftest import csv_rows, pure_diffusion_params, stepwise_frozen_run
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``esdib.stepper.<name>`` so that calls to it are counted."""
+    original = getattr(stepper, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, name, counted)
+    return calls
 
 
 def make_state(mesh, eta, theta, t=0.0):
@@ -280,12 +294,29 @@ class TestRun:
             run(self.state, self.params, SolverConfig(), stride=0)
 
     def test_frozen_surface_run_matches_stationary_solver(self):
+        # the reference rebuilds every operator each step; run builds them once
         cfg = SolverConfig(tau=1e-2, T=0.25)
         final_a, series_a = run(self.state, self.params, cfg, stride=5)
-        final_b, series_b = run_stationary(self.state, self.params, cfg, stride=5)
+        final_b, series_b = stepwise_frozen_run(self.state, self.params, cfg, stride=5)
         assert np.array_equal(final_a.eta, final_b.eta)
         assert np.array_equal(final_a.theta, final_b.theta)
-        assert len(series_a.samples) == len(series_b.samples)
+        assert csv_rows(series_a) == csv_rows(series_b)
+
+    @pytest.mark.parametrize("T, stride", [(0.05, 1), (0.3, 7), (0.3, 100)])
+    def test_frozen_surface_run_builds_operators_once(self, monkeypatch, T, stride):
+        stiffness = count_calls(monkeypatch, "assemble_stiffness")
+        quality = count_calls(monkeypatch, "mesh_quality")
+        run(self.state, self.params, SolverConfig(tau=1e-2, T=T), stride=stride)
+        assert len(stiffness) == 1
+        assert len(quality) == 1
+
+    def test_moving_run_checks_quality_once_per_step(self, monkeypatch):
+        moving = default_params(B=30.0, C=3.0, rho=2.0, kappa=0.2)
+        cfg = SolverConfig(tau=1e-2, T=0.1)
+        quality = count_calls(monkeypatch, "mesh_quality")
+        _, series = run(self.state, moving, cfg, stride=1)
+        assert len(series.samples) == cfg.n_steps + 1
+        assert len(quality) == cfg.n_steps + 1
 
     def test_stationary_solver_requires_frozen_surface(self):
         moving = default_params(B=30.0, C=3.0, kappa=0.2)
@@ -321,8 +352,9 @@ class TestDegeneracyStop:
         assert final.t == pytest.approx(0.25, rel=1e-12)
         radii = np.linalg.norm(final.mesh.nodes, axis=1)
         assert np.max(np.abs(radii - 0.75)) <= 1e-2
-        # the last valid state is always sampled
+        # the last valid state is always sampled, with its own mesh quality
         assert series.samples[-1].t == pytest.approx(final.t, rel=1e-12)
+        assert series.samples[-1].min_angle_deg == mesh_quality(final.mesh).min_angle_deg
 
     def test_angle_threshold_validation(self):
         cfg = SolverConfig(min_angle_deg=0.5)
