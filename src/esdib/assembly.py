@@ -8,6 +8,11 @@ Two operators are assembled from the current node positions:
   ``K_ij = dot(e_i, e_j) / (4 A)`` where ``e_i`` is the edge opposite vertex
   ``i`` (the classic cotangent weights, written via in-plane P1 gradients).
 
+Neither gathers the node coordinates itself: both read the areas and edge dot
+products of the mesh's cached per-triangle geometry pass (see
+:mod:`esdib.mesh`), which on a moved mesh its quality check has already
+computed.
+
 Connectivity never changes during a run, so the sparsity pattern is built
 once (:class:`StiffnessPattern`) and reused for every reassembly as the
 geometry moves.  Values are accumulated with ``np.bincount`` in a fixed
@@ -24,7 +29,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import DegenerateGeometryError, MeshStructureError
-from .mesh import SurfaceMesh, triangle_areas
+from .mesh import SurfaceMesh, _geometry, triangle_areas
 
 
 @dataclass(frozen=True)
@@ -112,21 +117,13 @@ def assemble_stiffness(
     """
     if pattern is None:
         pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
-    p = mesh.nodes[mesh.triangles]
-    e0 = p[:, 2] - p[:, 1]
-    e1 = p[:, 0] - p[:, 2]
-    e2 = p[:, 1] - p[:, 0]
-    doubled = np.linalg.norm(np.cross(e2, -e1), axis=1)  # 2 * area
+    geometry = _geometry(mesh)
+    doubled = geometry.doubled  # 2 * area
     if doubled.size and doubled.min() <= 0.0:
         bad = int(np.argmin(doubled))
         raise DegenerateGeometryError(f"triangle {bad} has zero area")
     w = 1.0 / (2.0 * doubled)  # 1 / (4 A)
-    d00 = np.einsum("ij,ij->i", e0, e0) * w
-    d01 = np.einsum("ij,ij->i", e0, e1) * w
-    d02 = np.einsum("ij,ij->i", e0, e2) * w
-    d11 = np.einsum("ij,ij->i", e1, e1) * w
-    d12 = np.einsum("ij,ij->i", e1, e2) * w
-    d22 = np.einsum("ij,ij->i", e2, e2) * w
+    d00, d01, d02, d11, d12, d22 = geometry.dots * w
     # local block mirrored explicitly so symmetry is exact in floating point
     vals = np.stack([d00, d01, d02, d01, d11, d12, d02, d12, d22], axis=1)
     data = np.bincount(pattern.slot, weights=vals.ravel(), minlength=pattern.nnz)

@@ -6,10 +6,10 @@ sampled step: surface area, eta increment norms between consecutive samples
 spatial standard deviation of eta, and the worst mesh quality metrics.  The
 series exports to CSV with one row per sample and fixed columns.
 
-Fixed-surface runs additionally keep the sampled eta history, from which the
-deposit thickness (the time integral of eta per node) is computed; on a
-moving surface nodes do not keep their identity as material points, so the
-thickness request is rejected.
+Fixed-surface runs additionally integrate the deposit thickness (the time
+integral of eta per node) as the samples arrive, with the trapezoidal rule,
+without keeping the eta history; on a moving surface nodes do not keep their
+identity as material points, so the thickness request is rejected.
 """
 
 from __future__ import annotations
@@ -88,17 +88,16 @@ class DiagnosticsSeries:
     ----------
     evolving : bool
         Whether the surface moves during the run.  Fixed-surface series
-        keep the sampled eta history so the deposit thickness can be
-        integrated afterwards.
+        accumulate the deposit thickness from sample to sample.
     """
 
     def __init__(self, evolving: bool):
         self.evolving = evolving
         self.samples: list[DiagnosticsSample] = []
-        self.eta_history: list[np.ndarray] = []
         self.stopped = False
         self.stop_reason: str | None = None
         self._last_eta: np.ndarray | None = None
+        self._thickness: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -113,6 +112,8 @@ class DiagnosticsSeries:
         else:
             inc = increment_norm(self._last_eta, eta)
             inc_m = mass_weighted_increment_norm(mass, self._last_eta, eta)
+            if not self.evolving:
+                self._accumulate_thickness(float(state.t), eta)
         self.samples.append(
             DiagnosticsSample(
                 t=float(state.t),
@@ -130,8 +131,14 @@ class DiagnosticsSeries:
             )
         )
         self._last_eta = eta.copy()
-        if not self.evolving:
-            self.eta_history.append(eta.copy())
+
+    def _accumulate_thickness(self, t: float, eta: np.ndarray) -> None:
+        # one trapezoid per sample interval, summed in sample order from zero:
+        # the same operations, in the same order, as np.trapezoid over the history
+        dt = t - self.samples[-1].t
+        if self._thickness is None:
+            self._thickness = np.zeros(eta.shape)
+        self._thickness += dt * (eta + self._last_eta) / 2.0
 
     def mark_stopped(self, reason: str) -> None:
         self.stopped = True
@@ -155,7 +162,10 @@ class DiagnosticsSeries:
         """Per-node deposit thickness integrated over the sampled history."""
         if self.evolving:
             raise ModeError("thickness is only defined on a fixed surface")
-        return thickness_function(np.asarray(self.eta_history), self.times)
+        if self._thickness is None:  # fewer than two samples: nothing integrated
+            n = 0 if self._last_eta is None else self._last_eta.size
+            return np.zeros(n)
+        return self._thickness.copy()
 
     def to_csv(self, path) -> None:
         """Write the series as CSV, one row per sample.

@@ -6,8 +6,12 @@ triangle) whose triangles and boundary flags never change afterwards.  Time
 stepping only moves nodes, so :func:`displace_nodes` returns a new mesh that
 shares connectivity with the old one and skips re-validation.
 
-All geometric queries (areas, vertex normals, quality metrics) are vectorised
-over triangles with numpy.
+All geometric queries (areas, vertex normals, quality metrics, and the lumped
+mass and stiffness in :mod:`esdib.assembly`) read one per-triangle geometry
+pass: edge vectors, the edge cross product, edge lengths and edge dot
+products, vectorised over triangles with numpy.  The pass is computed once per
+mesh, on first use, and cached on it; node arrays are read-only and node
+motion makes a new mesh, so the cache never goes stale.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ class SurfaceMesh:
         Non-finite coordinates.
     """
 
-    __slots__ = ("nodes", "triangles", "boundary_node")
+    __slots__ = ("nodes", "triangles", "boundary_node", "_geometry")
 
     def __init__(self, nodes, triangles):
         nodes = np.ascontiguousarray(nodes, dtype=np.float64)
@@ -86,6 +90,7 @@ class SurfaceMesh:
         self.nodes = nodes
         self.triangles = triangles
         self.boundary_node = _boundary_flags(triangles, n)
+        self._geometry = None
         for arr in (self.nodes, self.triangles, self.boundary_node):
             arr.setflags(write=False)
 
@@ -98,6 +103,7 @@ class SurfaceMesh:
         out.nodes = nodes
         out.triangles = mesh.triangles
         out.boundary_node = mesh.boundary_node
+        out._geometry = None
         return out
 
     @property
@@ -153,9 +159,76 @@ def _triangle_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
+class _TriangleGeometry:
+    """Per-triangle quantities shared by every geometric query on one mesh.
+
+    With ``e_i`` the edge opposite vertex ``i`` (``e0 = p2 - p1``,
+    ``e1 = p0 - p2``, ``e2 = p1 - p0``):
+
+    * ``cross``, shape (m, 3): ``e2 x (-e1) = (p1 - p0) x (p2 - p0)``, twice
+      the area times the unit normal;
+    * ``doubled``, shape (m,): the norm of ``cross``, twice the area;
+    * ``lengths``, shape (3, m): ``|e0|, |e1|, |e2|``;
+    * ``dots``, shape (6, m): ``e0.e0, e0.e1, e0.e2, e1.e1, e1.e2, e2.e2``.
+
+    All arrays are read-only.
+    """
+
+    __slots__ = ("cross", "doubled", "lengths", "dots")
+
+    def __init__(self, cross, doubled, lengths, dots):
+        self.cross = cross
+        self.doubled = doubled
+        self.lengths = lengths
+        self.dots = dots
+        for arr in (cross, doubled, lengths, dots):
+            arr.setflags(write=False)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (k, 3) array.
+
+    Same bits as ``np.linalg.norm(v, axis=1)``, which squares and then sums
+    the three components left to right, without its per-row reduction loop.
+    """
+    sq = v * v
+    return np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+
+
+def _geometry_pass(nodes: np.ndarray, triangles: np.ndarray) -> _TriangleGeometry:
+    """Compute the per-triangle geometry of ``nodes[triangles]`` in one pass."""
+    p0, p1, p2 = (np.take(nodes, triangles[:, k], axis=0) for k in range(3))
+    e0 = p2 - p1
+    e1 = p0 - p2
+    e2 = p1 - p0
+    del p0, p1, p2
+    cross = np.cross(e2, -e1)
+    lengths = np.stack([_row_norms(e0), _row_norms(e1), _row_norms(e2)])
+    dots = np.stack(
+        [
+            np.einsum("ij,ij->i", a, b)
+            for a, b in ((e0, e0), (e0, e1), (e0, e2), (e1, e1), (e1, e2), (e2, e2))
+        ]
+    )
+    return _TriangleGeometry(cross, _row_norms(cross), lengths, dots)
+
+
+def _geometry(mesh: SurfaceMesh) -> _TriangleGeometry:
+    """The mesh's cached geometry pass, computed on first use.
+
+    Meshes built without ``__init__`` (bypassing validation) have no cache
+    slot set yet; they get one on first use like any other mesh.
+    """
+    geometry = getattr(mesh, "_geometry", None)
+    if geometry is None:
+        geometry = _geometry_pass(mesh.nodes, mesh.triangles)
+        mesh._geometry = geometry
+    return geometry
+
+
 def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
     """Areas of all triangles, shape (n_triangles,)."""
-    return _triangle_areas(mesh.nodes, mesh.triangles)
+    return 0.5 * _geometry(mesh).doubled
 
 
 def triangle_area(mesh: SurfaceMesh, t: int) -> float:
@@ -191,20 +264,19 @@ def compute_node_normals(mesh: SurfaceMesh) -> np.ndarray:
         The accumulated vector of some node vanishes (the incident
         triangles fold over each other).
     """
-    tri = mesh.triangles
     n = mesh.n_nodes
-    counts = np.bincount(tri.ravel(), minlength=n)
-    if counts.min(initial=1) == 0:
-        bad = int(np.flatnonzero(counts == 0)[0])
-        raise MeshStructureError(f"node {bad} belongs to no triangle")
-    p = mesh.nodes[tri]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    idx = mesh.triangles.ravel()
+    cross = _geometry(mesh).cross
     accum = np.empty((n, 3))
-    idx = tri.ravel()
     for c in range(3):
         accum[:, c] = np.bincount(idx, weights=np.repeat(cross[:, c], 3), minlength=n)
-    norms = np.linalg.norm(accum, axis=1)
+    norms = _row_norms(accum)
     if norms.min() == 0.0:
+        # a node outside every triangle accumulates nothing: report it first
+        counts = np.bincount(idx, minlength=n)
+        if counts.min() == 0:
+            bad = int(np.flatnonzero(counts == 0)[0])
+            raise MeshStructureError(f"node {bad} belongs to no triangle")
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateGeometryError(
             f"node {bad} has a vanishing normal (folded incident triangles)"
@@ -257,27 +329,19 @@ def mesh_quality(mesh: SurfaceMesh) -> MeshQuality:
     rather than NaN, so threshold checks stay well defined while the mesh
     collapses.
     """
-    p = mesh.nodes[mesh.triangles]
-    e0 = p[:, 2] - p[:, 1]
-    e1 = p[:, 0] - p[:, 2]
-    e2 = p[:, 1] - p[:, 0]
-    l0 = np.linalg.norm(e0, axis=1)
-    l1 = np.linalg.norm(e1, axis=1)
-    l2 = np.linalg.norm(e2, axis=1)
-    areas = 0.5 * np.linalg.norm(np.cross(e2, -e1), axis=1)
-
-    lengths = np.stack([l0, l1, l2], axis=1)
-    longest = lengths.max(axis=1)
-    perimeter = lengths.sum(axis=1)
+    geometry = _geometry(mesh)
+    areas = 0.5 * geometry.doubled
+    l0, l1, l2 = geometry.lengths
+    _, d01, d02, _, d12, _ = geometry.dots
+    longest = np.maximum(np.maximum(l0, l1), l2)
+    perimeter = (l0 + l1) + l2  # left to right, the order of numpy's row sum
     with np.errstate(divide="ignore", invalid="ignore"):
         # angle at vertex i sits between the two edges that are not opposite it
-        cos0 = -np.einsum("ij,ij->i", e1, e2) / (l1 * l2)
-        cos1 = -np.einsum("ij,ij->i", e2, e0) / (l2 * l0)
-        cos2 = -np.einsum("ij,ij->i", e0, e1) / (l0 * l1)
-        cosines = np.clip(np.stack([cos0, cos1, cos2], axis=1), -1.0, 1.0)
-        angles = np.degrees(np.arccos(cosines))
+        cosines = np.stack([-d12 / (l1 * l2), -d02 / (l2 * l0), -d01 / (l0 * l1)])
+        angles = np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
         aspect = longest * perimeter / (4.0 * np.sqrt(3.0) * areas)
-    min_angles = np.where(areas > 0.0, angles.min(axis=1), 0.0)
+    smallest = np.minimum(np.minimum(angles[0], angles[1]), angles[2])
+    min_angles = np.where(areas > 0.0, smallest, 0.0)
     aspect = np.where(areas > 0.0, aspect, np.inf)
     return MeshQuality(
         min_angle_deg=float(min_angles.min(initial=np.inf)),

@@ -6,10 +6,12 @@ from esdib import (
     KineticsParams,
     SurfaceMesh,
     assemble_lumped_mass,
+    generate_icosphere,
     generate_square,
     mesh_quality,
     step,
 )
+from esdib import mesh as esdib_mesh
 
 
 def pure_diffusion_params(d: float = 20.0, kappa: float = 0.0) -> KineticsParams:
@@ -51,3 +53,37 @@ def bumpy_square() -> SurfaceMesh:
     rng = np.random.default_rng(123)
     offset = 0.02 * rng.standard_normal(flat.nodes.shape)
     return SurfaceMesh(flat.nodes + offset, flat.triangles)
+
+
+@pytest.fixture(params=["perturbed_sheet", "icosphere", "sliver"])
+def geometry_mesh(request) -> SurfaceMesh:
+    """Meshes on which the cached geometry must match the direct formulas.
+
+    A res-100 sheet with every node jiggled in 3-d, a level-4 icosphere,
+    and a small bumpy sheet with one near-degenerate (sliver) triangle.
+    """
+    rng = np.random.default_rng(7)
+    if request.param == "icosphere":
+        return generate_icosphere(1.0, 4)
+    if request.param == "perturbed_sheet":
+        flat = generate_square(10.0, 100)
+        offset = 0.02 * rng.standard_normal(flat.nodes.shape)
+        return SurfaceMesh(flat.nodes + offset, flat.triangles)
+    flat = generate_square(1.0, 6)
+    nodes = flat.nodes + 0.01 * rng.standard_normal(flat.nodes.shape)
+    a, b, c = flat.triangles[10]
+    nodes[c] = 0.5 * (nodes[a] + nodes[b]) + 1e-9
+    return SurfaceMesh(nodes, flat.triangles)
+
+
+def count_geometry_passes(monkeypatch):
+    """Count calls of the per-triangle geometry kernel in ``esdib.mesh``."""
+    original = esdib_mesh._geometry_pass
+    calls = []
+
+    def counted(nodes, triangles):
+        calls.append(None)
+        return original(nodes, triangles)
+
+    monkeypatch.setattr(esdib_mesh, "_geometry_pass", counted)
+    return calls

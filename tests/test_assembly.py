@@ -207,3 +207,43 @@ class TestDegenerateInput:
     def test_stiffness_rejects_zero_area(self):
         with pytest.raises(DegenerateGeometryError, match="triangle 1"):
             assemble_stiffness(self.collapsed_mesh())
+
+
+# Reference assembly of the lumped mass and the stiffness values from their
+# own gather of ``nodes[triangles]``, bypassing the cached geometry pass.
+
+
+def direct_lumped_mass(mesh):
+    p = mesh.nodes[mesh.triangles]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    areas = 0.5 * np.linalg.norm(cross, axis=1)
+    thirds = np.repeat(areas / 3.0, 3)
+    return np.bincount(mesh.triangles.ravel(), weights=thirds, minlength=mesh.n_nodes)
+
+
+def direct_stiffness(mesh, pattern):
+    p = mesh.nodes[mesh.triangles]
+    e0 = p[:, 2] - p[:, 1]
+    e1 = p[:, 0] - p[:, 2]
+    e2 = p[:, 1] - p[:, 0]
+    doubled = np.linalg.norm(np.cross(e2, -e1), axis=1)
+    w = 1.0 / (2.0 * doubled)
+    d00 = np.einsum("ij,ij->i", e0, e0) * w
+    d01 = np.einsum("ij,ij->i", e0, e1) * w
+    d02 = np.einsum("ij,ij->i", e0, e2) * w
+    d11 = np.einsum("ij,ij->i", e1, e1) * w
+    d12 = np.einsum("ij,ij->i", e1, e2) * w
+    d22 = np.einsum("ij,ij->i", e2, e2) * w
+    vals = np.stack([d00, d01, d02, d01, d11, d12, d02, d12, d22], axis=1)
+    return np.bincount(pattern.slot, weights=vals.ravel(), minlength=pattern.nnz)
+
+
+class TestCachedGeometry:
+    def test_matches_direct_assembly_bitwise(self, geometry_mesh):
+        mesh = geometry_mesh
+        pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
+        # the mass computes the pass, the stiffness reads it from the cache
+        assert np.array_equal(assemble_lumped_mass(mesh).diag, direct_lumped_mass(mesh))
+        K = assemble_stiffness(mesh, pattern)
+        assert np.array_equal(K.indptr, pattern.indptr)
+        assert np.array_equal(K.data, direct_stiffness(mesh, pattern))

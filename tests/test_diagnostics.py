@@ -19,6 +19,7 @@ from esdib import (
     initial_condition,
     mass_integral,
     mass_weighted_increment_norm,
+    mesh_quality,
     run,
     run_stationary,
     thickness_function,
@@ -27,13 +28,13 @@ from esdib.diagnostics import CSV_COLUMNS
 from esdib.meshgen import generate_icosphere, generate_square
 
 
-def small_run(T=0.1, stride=2, kappa=0.0, n=6, seed=1):
+def small_run(T=0.1, stride=2, kappa=0.0, n=6, seed=1, observers=()):
     mesh = generate_square(2.0, n)
     params = default_params(B=30.0, C=3.0, rho=2.0, kappa=kappa)
     fields = initial_condition(mesh, params, seed=seed)
     state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
     cfg = SolverConfig(tau=1e-2, T=T)
-    return run(state, params, cfg, stride=stride)
+    return run(state, params, cfg, observers=observers, stride=stride)
 
 
 class TestIncrementNorms:
@@ -199,10 +200,23 @@ class TestThickness:
             series.thickness()
 
     def test_series_thickness_matches_direct_integration(self):
-        _, series = small_run(T=0.1, stride=2)
+        snapshots = []
+        _, series = small_run(
+            T=0.1, stride=2, observers=[lambda s, m: snapshots.append(s.eta.copy())]
+        )
+        assert len(snapshots) == len(series) == 6
         th = series.thickness()
-        direct = thickness_function(np.asarray(series.eta_history), series.times)
+        direct = thickness_function(np.asarray(snapshots), series.times)
         assert np.array_equal(th, direct)
+
+    def test_series_thickness_of_fewer_than_two_samples_is_zero(self):
+        # as np.trapezoid over an empty or one-row history
+        assert DiagnosticsSeries(evolving=False).thickness().shape == (0,)
+        mesh = generate_square(1.0, 2)
+        state = SimState(t=0.0, mesh=mesh, eta=np.full(9, 0.5), theta=np.ones(9))
+        series = DiagnosticsSeries(evolving=False)
+        series.record(state, assemble_lumped_mass(mesh), mesh_quality(mesh))
+        assert np.array_equal(series.thickness(), np.zeros(9))
 
 
 class TestAreaGrowthFit:

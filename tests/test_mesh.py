@@ -12,7 +12,11 @@ from esdib import (
     triangle_area,
     triangle_areas,
 )
+from esdib import mesh as mesh_module
 from esdib.errors import DegenerateGeometryError, MeshStructureError, NumericsError
+from esdib.mesh import MeshQuality
+
+from conftest import count_geometry_passes
 
 
 def single_triangle(points=((0, 0, 0), (1, 0, 0), (0, 1, 0))):
@@ -242,3 +246,107 @@ class TestQuality:
         assert q.min_area == 0.0
         assert q.min_angle_deg == 0.0
         assert np.isinf(q.max_aspect_ratio)
+
+
+# Reference formulas that each gather ``nodes[triangles]`` and compute their
+# own edges and cross products.  The cached geometry pass must reproduce them
+# bit for bit.
+
+
+def direct_triangle_areas(nodes, triangles):
+    p = nodes[triangles]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    return 0.5 * np.linalg.norm(cross, axis=1)
+
+
+def direct_node_normals(mesh):
+    tri = mesh.triangles
+    n = mesh.n_nodes
+    p = mesh.nodes[tri]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    accum = np.empty((n, 3))
+    idx = tri.ravel()
+    for c in range(3):
+        accum[:, c] = np.bincount(idx, weights=np.repeat(cross[:, c], 3), minlength=n)
+    norms = np.linalg.norm(accum, axis=1)
+    return accum / norms[:, None]
+
+
+def direct_mesh_quality(mesh):
+    p = mesh.nodes[mesh.triangles]
+    e0 = p[:, 2] - p[:, 1]
+    e1 = p[:, 0] - p[:, 2]
+    e2 = p[:, 1] - p[:, 0]
+    l0 = np.linalg.norm(e0, axis=1)
+    l1 = np.linalg.norm(e1, axis=1)
+    l2 = np.linalg.norm(e2, axis=1)
+    areas = 0.5 * np.linalg.norm(np.cross(e2, -e1), axis=1)
+
+    lengths = np.stack([l0, l1, l2], axis=1)
+    longest = lengths.max(axis=1)
+    perimeter = lengths.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos0 = -np.einsum("ij,ij->i", e1, e2) / (l1 * l2)
+        cos1 = -np.einsum("ij,ij->i", e2, e0) / (l2 * l0)
+        cos2 = -np.einsum("ij,ij->i", e0, e1) / (l0 * l1)
+        cosines = np.clip(np.stack([cos0, cos1, cos2], axis=1), -1.0, 1.0)
+        angles = np.degrees(np.arccos(cosines))
+        aspect = longest * perimeter / (4.0 * np.sqrt(3.0) * areas)
+    min_angles = np.where(areas > 0.0, angles.min(axis=1), 0.0)
+    aspect = np.where(areas > 0.0, aspect, np.inf)
+    return MeshQuality(
+        min_angle_deg=float(min_angles.min(initial=np.inf)),
+        min_area=float(areas.min(initial=np.inf)),
+        max_aspect_ratio=float(aspect.max(initial=0.0)),
+    )
+
+
+class TestCachedGeometry:
+    def test_matches_direct_formulas_bitwise(self, geometry_mesh):
+        mesh = geometry_mesh
+        # quality first: it computes the pass the other queries then reuse
+        assert mesh_quality(mesh) == direct_mesh_quality(mesh)
+        assert np.array_equal(compute_node_normals(mesh), direct_node_normals(mesh))
+        areas = direct_triangle_areas(mesh.nodes, mesh.triangles)
+        assert np.array_equal(triangle_areas(mesh), areas)
+        assert surface_area(mesh) == float(areas.sum())
+
+    def test_quality_matches_direct_formula_per_triangle(self):
+        # one triangle per mesh, so every triangle's aspect ratio and angle
+        # reaches the compared fields, not only the worst one of a mesh
+        rng = np.random.default_rng(11)
+        scales = rng.uniform(1e-3, 1e3, (300, 1, 1))
+        for points in scales * rng.standard_normal((300, 3, 3)):
+            mesh = single_triangle(points)
+            assert mesh_quality(mesh) == direct_mesh_quality(mesh)
+
+    def test_one_pass_per_mesh(self, monkeypatch):
+        passes = count_geometry_passes(monkeypatch)
+        mesh = generate_square(1.0, 4)
+        mesh_quality(mesh)
+        compute_node_normals(mesh)
+        triangle_areas(mesh)
+        surface_area(mesh)
+        assert len(passes) == 1
+
+    def test_moved_mesh_recomputes(self, monkeypatch):
+        passes = count_geometry_passes(monkeypatch)
+        mesh = generate_icosphere(1.0, 2)
+        before = surface_area(mesh)
+        moved = displace_nodes(mesh, 0.5 * mesh.nodes)
+        assert len(passes) == 1
+        assert surface_area(mesh) == before
+        assert len(passes) == 1
+        assert surface_area(moved) == pytest.approx(2.25 * before, rel=1e-12)
+        assert len(passes) == 2
+        assert np.array_equal(
+            triangle_areas(moved), direct_triangle_areas(moved.nodes, moved.triangles)
+        )
+
+    def test_cached_arrays_are_read_only(self):
+        mesh = generate_square(1.0, 3)
+        areas = triangle_areas(mesh)
+        areas[0] = -1.0  # the caller's copy, not the cache
+        assert triangle_areas(mesh)[0] > 0.0
+        with pytest.raises(ValueError):
+            mesh_module._geometry(mesh).cross[0, 0] = 0.0

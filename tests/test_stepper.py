@@ -27,7 +27,12 @@ from esdib import stepper
 from esdib.mesh import mesh_quality, triangle_areas
 from esdib.meshgen import generate_icosphere, generate_square
 
-from conftest import csv_rows, pure_diffusion_params, stepwise_frozen_run
+from conftest import (
+    count_geometry_passes,
+    csv_rows,
+    pure_diffusion_params,
+    stepwise_frozen_run,
+)
 
 
 def count_calls(monkeypatch, name):
@@ -317,6 +322,22 @@ class TestRun:
         _, series = run(self.state, moving, cfg, stride=1)
         assert len(series.samples) == cfg.n_steps + 1
         assert len(quality) == cfg.n_steps + 1
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_moving_run_computes_one_geometry_pass_per_step(self, monkeypatch, stride):
+        # the pass of each moved mesh serves its quality check, its mass and
+        # stiffness, and the next step's normals
+        moving = default_params(B=30.0, C=3.0, rho=2.0, kappa=0.2)
+        cfg = SolverConfig(tau=1e-2, T=0.1)
+        passes = count_geometry_passes(monkeypatch)
+        final, _ = run(self.state, moving, cfg, stride=stride)
+        assert final.step_index == cfg.n_steps
+        assert len(passes) == cfg.n_steps + 1
+
+    def test_frozen_run_computes_one_geometry_pass(self, monkeypatch):
+        passes = count_geometry_passes(monkeypatch)
+        run(self.state, self.params, SolverConfig(tau=1e-2, T=0.1), stride=1)
+        assert len(passes) == 1
 
     def test_stationary_solver_requires_frozen_surface(self):
         moving = default_params(B=30.0, C=3.0, kappa=0.2)
