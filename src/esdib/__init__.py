@@ -49,7 +49,6 @@ from .diagnostics import (
     increment_norm,
     mass_integral,
     mass_weighted_increment_norm,
-    thickness_function,
 )
 from .kinetics import (
     FieldPair,
@@ -77,7 +76,7 @@ from .meshgen import (
     generate_icosphere,
     generate_square,
 )
-from .stepper import SimState, SolverConfig, run, run_stationary, solve_spd, step
+from .stepper import SimState, SolverConfig, run, solve_spd, step
 from .vtkio import export_mesh_snapshot, read_vtk, write_obj, write_vtk
 
 __version__ = "0.1.0"
@@ -132,11 +131,9 @@ __all__ = [
     "mesh_quality",
     "read_vtk",
     "run",
-    "run_stationary",
     "solve_spd",
     "step",
     "surface_area",
-    "thickness_function",
     "triangle_area",
     "triangle_areas",
     "write_obj",

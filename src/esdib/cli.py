@@ -120,8 +120,6 @@ def run_from_config(cfg: RunConfig) -> tuple[int, str]:
             state, params, cfg.solver,
             observers=observers, stride=cfg.output.sample_stride,
         )
-    except ConfigError:
-        raise
     except EsdibError as e:
         print(f"esdib: solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER, out_dir
@@ -158,12 +156,6 @@ def run_from_config(cfg: RunConfig) -> tuple[int, str]:
         print(f"esdib: {series.stop_reason}", file=sys.stderr)
         return EXIT_DEGENERACY, out_dir
     return EXIT_OK, out_dir
-
-
-def run_preset(preset_id: int, overrides=None) -> tuple[int, str]:
-    """Run one canonical experiment; see :func:`run_from_config`."""
-    cfg = load_config(preset=preset_id, overrides=overrides or {})
-    return run_from_config(cfg)
 
 
 def _cmd_run(args, extras) -> int:

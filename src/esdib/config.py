@@ -11,7 +11,8 @@ file supplies the required ones):
 * ``[solver]`` -- ``tau``, ``T``, ``cg_tol``, ``cg_maxiter``,
   ``min_triangle_area`` (number or ``auto``), ``min_angle_deg``,
 * ``[output]`` -- ``directory``, ``sample_stride``, ``snapshot_stride``
-  (0 disables periodic snapshots), ``write_obj``.
+  (0 disables periodic snapshots; otherwise a multiple of ``sample_stride``),
+  ``write_obj``.
 
 Precedence: package defaults, then the preset, then the config file, then
 command-line overrides.  Unknown sections or keys are rejected, and every
@@ -265,10 +266,10 @@ def load_config(path=None, preset=None, overrides=None) -> RunConfig:
     seed = r.integer("kinetics", "seed", 0, minimum=0)
     shared_noise = r.boolean("kinetics", "shared_noise", False)
 
-    tau = r.floating("solver", "tau", 1e-2, minimum=0.0, exclusive=True)
+    tau = r.floating("solver", "tau", SolverConfig.tau, minimum=0.0, exclusive=True)
     T = r.floating("solver", "T", chosen.T if chosen else None, minimum=0.0)
-    cg_tol = r.floating("solver", "cg_tol", 1e-10, minimum=0.0, exclusive=True)
-    cg_maxiter = r.integer("solver", "cg_maxiter", 10000, minimum=1)
+    cg_tol = r.floating("solver", "cg_tol", SolverConfig.cg_tol, minimum=0.0, exclusive=True)
+    cg_maxiter = r.integer("solver", "cg_maxiter", SolverConfig.cg_maxiter, minimum=1)
     min_area_text = r.text("solver", "min_triangle_area", "auto")
     if min_area_text is not None and min_area_text.strip().lower() == "auto":
         min_triangle_area = None
@@ -276,20 +277,34 @@ def load_config(path=None, preset=None, overrides=None) -> RunConfig:
         min_triangle_area = r.floating(
             "solver", "min_triangle_area", None, minimum=0.0, exclusive=True
         )
-    min_angle_deg = r.floating("solver", "min_angle_deg", 0.5, minimum=0.0)
+    min_angle_deg = r.floating(
+        "solver", "min_angle_deg", SolverConfig.min_angle_deg, minimum=0.0
+    )
     solver = SolverConfig(
         tau=tau, T=T, cg_tol=cg_tol, cg_maxiter=cg_maxiter,
         min_triangle_area=min_triangle_area, min_angle_deg=min_angle_deg,
     )
 
-    directory = r.text("output", "directory", "out")
+    directory = r.text("output", "directory", OutputConfig.directory)
     if not directory:
         raise ConfigError("output.directory must not be empty")
+    sample_stride = r.integer(
+        "output", "sample_stride", OutputConfig.sample_stride, minimum=1
+    )
+    snapshot_stride = r.integer(
+        "output", "snapshot_stride", OutputConfig.snapshot_stride, minimum=0
+    )
+    # snapshots are taken by an observer, which run calls only at sampled steps
+    if snapshot_stride % sample_stride != 0:
+        raise ConfigError(
+            "output.snapshot_stride must be a multiple of output.sample_stride "
+            f"({sample_stride}), got {snapshot_stride}"
+        )
     output = OutputConfig(
         directory=directory,
-        sample_stride=r.integer("output", "sample_stride", 10, minimum=1),
-        snapshot_stride=r.integer("output", "snapshot_stride", 0, minimum=0),
-        write_obj=r.boolean("output", "write_obj", False),
+        sample_stride=sample_stride,
+        snapshot_stride=snapshot_stride,
+        write_obj=r.boolean("output", "write_obj", OutputConfig.write_obj),
     )
 
     return RunConfig(
@@ -300,38 +315,24 @@ def load_config(path=None, preset=None, overrides=None) -> RunConfig:
     )
 
 
+def _render(value) -> str:
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def dump_config(cfg: RunConfig) -> str:
-    """Render a resolved configuration as canonical INI text."""
-    min_area = cfg.solver.min_triangle_area
-    lines = [
-        "[domain]",
-        f"kind = {cfg.domain.kind}",
-        f"size = {cfg.domain.size!r}",
-        f"resolution = {cfg.domain.resolution}",
-        "",
-        "[kinetics]",
-        f"B = {cfg.B!r}",
-        f"C = {cfg.C!r}",
-        f"rho = {cfg.rho!r}",
-        f"kappa = {cfg.kappa!r}",
-        f"d = {cfg.d!r}",
-        f"amplitude = {cfg.amplitude!r}",
-        f"seed = {cfg.seed}",
-        f"shared_noise = {str(cfg.shared_noise).lower()}",
-        "",
-        "[solver]",
-        f"tau = {cfg.solver.tau!r}",
-        f"T = {cfg.solver.T!r}",
-        f"cg_tol = {cfg.solver.cg_tol!r}",
-        f"cg_maxiter = {cfg.solver.cg_maxiter}",
-        "min_triangle_area = " + ("auto" if min_area is None else repr(min_area)),
-        f"min_angle_deg = {cfg.solver.min_angle_deg!r}",
-        "",
-        "[output]",
-        f"directory = {cfg.output.directory}",
-        f"sample_stride = {cfg.output.sample_stride}",
-        f"snapshot_stride = {cfg.output.snapshot_stride}",
-        f"write_obj = {str(cfg.output.write_obj).lower()}",
-        "",
-    ]
+    """Render a resolved configuration as canonical INI text, in schema order."""
+    owners = {
+        "domain": cfg.domain, "kinetics": cfg, "solver": cfg.solver, "output": cfg.output,
+    }
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {_render(getattr(owners[section], key))}" for key in keys]
+        lines.append("")
     return "\n".join(lines)

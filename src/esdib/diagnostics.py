@@ -15,26 +15,11 @@ identity as material points, so the thickness request is rejected.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DataError, ModeError
-
-CSV_COLUMNS = (
-    "t",
-    "area",
-    "inc_eta_l2",
-    "inc_eta_Ml2",
-    "mass_theta",
-    "eta_min",
-    "eta_max",
-    "theta_min",
-    "theta_max",
-    "eta_std",
-    "min_angle_deg",
-    "min_area",
-)
 
 
 def increment_norm(prev: np.ndarray, curr: np.ndarray) -> float:
@@ -79,6 +64,9 @@ class DiagnosticsSample:
     eta_std: float
     min_angle_deg: float
     min_area: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsSample))
 
 
 class DiagnosticsSeries:
@@ -178,27 +166,6 @@ class DiagnosticsSeries:
             writer.writerow(CSV_COLUMNS)
             for s in self.samples:
                 writer.writerow([repr(getattr(s, c)) for c in CSV_COLUMNS])
-
-
-def thickness_function(eta_series, times, evolving: bool = False) -> np.ndarray:
-    """Cumulative trapezoidal integral of eta over time, per node.
-
-    Parameters
-    ----------
-    eta_series : array_like of shape (n_samples, n_nodes)
-        Nodal eta snapshots.
-    times : scalar or array_like of shape (n_samples,)
-        Constant sampling interval, or the sample times themselves.
-    evolving : bool
-        Must be False: on a moving surface the integral has no material
-        meaning and a :class:`ModeError` is raised.
-    """
-    if evolving:
-        raise ModeError("thickness is only defined on a fixed surface")
-    series = np.atleast_2d(np.asarray(eta_series, dtype=np.float64))
-    if np.isscalar(times) or np.ndim(times) == 0:
-        return np.trapezoid(series, dx=float(times), axis=0)
-    return np.trapezoid(series, x=np.asarray(times, dtype=np.float64), axis=0)
 
 
 @dataclass(frozen=True)

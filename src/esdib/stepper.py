@@ -34,7 +34,7 @@ from scipy.sparse import csr_matrix
 
 from .assembly import LumpedMass, StiffnessPattern, assemble_lumped_mass, assemble_stiffness
 from .diagnostics import DiagnosticsSeries
-from .errors import DegeneracyStop, ModeError, NumericsError, SolverConvergenceError
+from .errors import DegeneracyStop, NumericsError, SolverConvergenceError
 from .kinetics import KineticsParams, eval_f, eval_g
 from .mesh import MeshQuality, SurfaceMesh, compute_node_normals, displace_nodes, mesh_quality
 
@@ -153,10 +153,7 @@ def _diffusion_system(
     diffusivity: float,
 ) -> csr_matrix:
     """CSR matrix ``diffusivity * K + diag(mass) / tau`` sharing K's pattern."""
-    if diffusivity == 1.0:
-        data = stiff.data.copy()
-    else:
-        data = diffusivity * stiff.data
+    data = diffusivity * stiff.data
     data[pattern.diagonal_slots] += mass_diag / tau
     return csr_matrix(
         (data, stiff.indices, stiff.indptr), shape=stiff.shape
@@ -361,24 +358,3 @@ def run(
         if k % stride == 0 or k == n_steps:
             sample(state, mass, quality)
     return state, series
-
-
-def run_stationary(
-    initial: SimState,
-    params: KineticsParams,
-    cfg: SolverConfig,
-    observers: Sequence[Callable[[SimState, LumpedMass], None]] = (),
-    stride: int = 10,
-) -> tuple[SimState, DiagnosticsSeries]:
-    """:func:`run` on a frozen surface, refusing a surface that would move.
-
-    Raises
-    ------
-    ModeError
-        ``params.kappa`` is nonzero.
-    """
-    if params.kappa != 0.0:
-        raise ModeError(
-            f"fixed-surface solver requires kappa = 0, got {params.kappa}"
-        )
-    return run(initial, params, cfg, observers, stride)

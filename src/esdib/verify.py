@@ -35,12 +35,36 @@ class CheckResult:
     detail: str
 
 
-def _pure_diffusion(d: float = 20.0, kappa: float = 0.0) -> KineticsParams:
-    """Parameters with f = g = 0: every reaction coefficient vanishes."""
+def pure_diffusion_params(d: float = 20.0, kappa: float = 0.0) -> KineticsParams:
+    """Parameters whose reaction terms vanish identically (f = g = 0)."""
     return KineticsParams(
         A1=0.0, A2=0.0, B=0.0, C=0.0, D=0.0, alpha=0.5, gamma=0.2,
         k2=2.5, k3=1.5, d=d, rho=1.0, kappa=kappa,
     )
+
+
+def stepwise_frozen_run(state, params, cfg, stride):
+    """Reference for a kappa = 0 :func:`run`: a chain of single :func:`step` calls.
+
+    Each step rebuilds the pattern, mass, stiffness and both systems; the
+    diagnostics are recorded by hand at the steps ``run`` samples.
+    """
+    series = DiagnosticsSeries(evolving=False)
+
+    def record(s):
+        series.record(s, assemble_lumped_mass(s.mesh), mesh_quality(s.mesh))
+
+    record(state)
+    for k in range(1, cfg.n_steps + 1):
+        state = step(state, params, cfg)
+        if k % stride == 0 or k == cfg.n_steps:
+            record(state)
+    return state, series
+
+
+def csv_rows(series):
+    """Samples as their CSV cells; ``repr`` makes nan compare equal to nan."""
+    return [[repr(v) for v in s.__dict__.values()] for s in series.samples]
 
 
 def _check_element_operators() -> CheckResult:
@@ -95,7 +119,7 @@ def _check_sphere_geometry() -> CheckResult:
 def _check_conservation_and_uniformity() -> CheckResult:
     mesh = generate_icosphere(1.0, 2)
     n = mesh.n_nodes
-    params = _pure_diffusion(kappa=0.2)
+    params = pure_diffusion_params(kappa=0.2)
     state = SimState(t=0.0, mesh=mesh, eta=np.ones(n), theta=np.full(n, 0.8))
     cfg = SolverConfig(tau=1e-2, T=0.5, cg_tol=1e-12)
     mass0 = assemble_lumped_mass(mesh)
@@ -115,7 +139,7 @@ def _check_conservation_and_uniformity() -> CheckResult:
 def _check_expanding_sphere() -> CheckResult:
     mesh = generate_icosphere(1.0, 3)
     n = mesh.n_nodes
-    params = _pure_diffusion(kappa=0.2)
+    params = pure_diffusion_params(kappa=0.2)
     state = SimState(t=0.0, mesh=mesh, eta=np.ones(n), theta=np.ones(n))
     cfg = SolverConfig(tau=1e-2, T=1.0, cg_tol=1e-12)
     final, _ = run(state, params, cfg)
@@ -135,7 +159,7 @@ def _check_expanding_sphere() -> CheckResult:
 def _check_heat_decay() -> CheckResult:
     d = 20.0
     mesh = generate_icosphere(1.0, 4)
-    params = _pure_diffusion(d=d)
+    params = pure_diffusion_params(d=d)
     z = mesh.nodes[:, 2].copy()
     state = SimState(t=0.0, mesh=mesh, eta=np.zeros(mesh.n_nodes), theta=z)
     cfg = SolverConfig(tau=1e-3, T=0.1, cg_tol=1e-12)
@@ -168,26 +192,11 @@ def _check_stationary_equivalence() -> CheckResult:
     cfg = SolverConfig(tau=1e-2, T=0.3)
     stride = 5
     final_a, series_a = run(state, params, cfg, stride=stride)
-
-    # reference: single steps rebuild pattern, mass, stiffness and both
-    # systems every step; samples are recorded by hand at run's sample steps
-    series_b = DiagnosticsSeries(evolving=False)
-    final_b = state
-    series_b.record(final_b, assemble_lumped_mass(mesh), mesh_quality(mesh))
-    for k in range(1, cfg.n_steps + 1):
-        final_b = step(final_b, params, cfg)
-        if k % stride == 0 or k == cfg.n_steps:
-            series_b.record(final_b, assemble_lumped_mass(mesh), mesh_quality(mesh))
-
+    final_b, series_b = stepwise_frozen_run(state, params, cfg, stride)
     fields_equal = np.array_equal(final_a.eta, final_b.eta) and np.array_equal(
         final_a.theta, final_b.theta
     )
-    # compare samples through their CSV rendering; repr('nan') == repr('nan')
-    # even though nan != nan
-    def rows(series):
-        return [[repr(v) for v in s.__dict__.values()] for s in series.samples]
-
-    series_equal = rows(series_a) == rows(series_b)
+    series_equal = csv_rows(series_a) == csv_rows(series_b)
     ok = fields_equal and series_equal
     return CheckResult(
         "frozen-surface run matches a chain of single steps bit for bit at kappa = 0",

@@ -23,10 +23,11 @@ from esdib import (
     default_params,
     displace_nodes,
     initial_condition,
+    load_config,
     mass_integral,
     run,
 )
-from esdib.cli import run_preset
+from esdib.cli import run_from_config
 from esdib.meshgen import generate_icosphere, generate_square
 
 from conftest import csv_rows, pure_diffusion_params, stepwise_frozen_run
@@ -211,15 +212,16 @@ def test_criterion_9_determinism(tmp_path):
         outputs = []
         for tag in ("first", "second"):
             out = tmp_path / f"p{preset_id}-{tag}"
-            code, _ = run_preset(
-                preset_id,
-                {
+            cfg = load_config(
+                preset=preset_id,
+                overrides={
                     "domain.resolution": resolution,
                     "solver.T": 0.2,
                     "output.sample_stride": 5,
                     "output.directory": str(out),
                 },
             )
+            code, _ = run_from_config(cfg)
             assert code == 0
             outputs.append(
                 (out / "diagnostics.csv").read_bytes()

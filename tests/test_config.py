@@ -1,5 +1,7 @@
 """Preset table, INI loading, precedence, and validation messages."""
 
+from dataclasses import replace
+
 import pytest
 
 from esdib import PRESETS, ConfigError, dump_config, load_config
@@ -170,6 +172,10 @@ class TestValidation:
             ({"domain.kind": "torus"}, "domain.kind must be square or sphere"),
             ({"output.sample_stride": "0"}, "output.sample_stride must be at least"),
             ({"kinetics.kappa": "-0.2"}, "kinetics.kappa must be at least"),
+            (
+                {"output.sample_stride": "10", "output.snapshot_stride": "15"},
+                "output.snapshot_stride must be a multiple of output.sample_stride",
+            ),
         ],
     )
     def test_bad_values_name_section_and_key(self, override, fragment):
@@ -209,3 +215,49 @@ class TestDump:
         b = dump_config(load_config(preset=5))
         assert a == b
         assert a.startswith("[domain]\n")
+
+    def test_dump_bytes(self):
+        cfg = load_config(
+            preset=4,
+            overrides={
+                "kinetics.kappa": "0.15", "kinetics.seed": "42",
+                "kinetics.shared_noise": "true", "solver.tau": "0.005",
+                "output.directory": "runs/p4", "output.sample_stride": "5",
+                "output.snapshot_stride": "20", "output.write_obj": "true",
+            },
+        )
+        expected = (
+            "[domain]\n"
+            "kind = sphere\n"
+            "size = 3.0\n"
+            "resolution = 4\n"
+            "\n"
+            "[kinetics]\n"
+            "B = 30.0\n"
+            "C = 3.0\n"
+            "rho = 2.0\n"
+            "kappa = 0.15\n"
+            "d = 20.0\n"
+            "amplitude = 0.0001\n"
+            "seed = 42\n"
+            "shared_noise = true\n"
+            "\n"
+            "[solver]\n"
+            "tau = 0.005\n"
+            "T = 12.0\n"
+            "cg_tol = 1e-10\n"
+            "cg_maxiter = 10000\n"
+            "min_triangle_area = auto\n"
+            "min_angle_deg = 0.5\n"
+            "\n"
+            "[output]\n"
+            "directory = runs/p4\n"
+            "sample_stride = 5\n"
+            "snapshot_stride = 20\n"
+            "write_obj = true\n"
+        )
+        assert dump_config(cfg) == expected
+        cfg.solver = replace(cfg.solver, min_triangle_area=2.5e-9)
+        assert dump_config(cfg) == expected.replace(
+            "min_triangle_area = auto", "min_triangle_area = 2.5e-09"
+        )

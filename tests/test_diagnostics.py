@@ -21,8 +21,6 @@ from esdib import (
     mass_weighted_increment_norm,
     mesh_quality,
     run,
-    run_stationary,
-    thickness_function,
 )
 from esdib.diagnostics import CSV_COLUMNS
 from esdib.meshgen import generate_icosphere, generate_square
@@ -167,34 +165,33 @@ class TestSeries:
         assert a.read_bytes() == b.read_bytes()
 
 
+def recorded_thickness(times, eta_at):
+    """Thickness of a series recording a uniform eta(t) on a 3x3 sheet."""
+    mesh = generate_square(1.0, 2)
+    mass, quality = assemble_lumped_mass(mesh), mesh_quality(mesh)
+    series = DiagnosticsSeries(evolving=False)
+    for t in times:
+        eta = np.full(mesh.n_nodes, eta_at(t))
+        state = SimState(t=t, mesh=mesh, eta=eta, theta=np.ones(mesh.n_nodes))
+        series.record(state, mass, quality)
+    return series.thickness()
+
+
 class TestThickness:
     def test_constant_field(self):
-        eta = np.ones((11, 7)) * 0.3
-        times = np.linspace(0.0, 2.0, 11)
-        th = thickness_function(eta, times)
-        assert th.shape == (7,)
+        th = recorded_thickness(np.linspace(0.0, 2.0, 11), lambda t: 0.3)
+        assert th.shape == (9,)
         assert np.allclose(th, 0.6, rtol=1e-12)
 
     def test_linear_in_time_field(self):
-        times = np.linspace(0.0, 1.0, 21)
-        eta = np.tile(times[:, None], (1, 4))  # eta(t) = t at every node
-        th = thickness_function(eta, times)
+        th = recorded_thickness(np.linspace(0.0, 1.0, 21), lambda t: t)
         assert np.allclose(th, 0.5, rtol=1e-12)
 
-    def test_scalar_spacing(self):
-        eta = np.ones((5, 3))
-        th = thickness_function(eta, 0.25)
-        assert np.allclose(th, 1.0, rtol=1e-12)
-
     def test_non_uniform_times(self):
-        times = np.array([0.0, 0.3, 0.6, 0.9, 1.0])
-        eta = np.ones((5, 2))
-        th = thickness_function(eta, times)
+        th = recorded_thickness([0.0, 0.3, 0.6, 0.9, 1.0], lambda t: 1.0)
         assert np.allclose(th, 1.0, rtol=1e-12)
 
     def test_moving_surface_rejected(self):
-        with pytest.raises(ModeError):
-            thickness_function(np.ones((3, 3)), 0.1, evolving=True)
         series = DiagnosticsSeries(evolving=True)
         with pytest.raises(ModeError):
             series.thickness()
@@ -206,7 +203,7 @@ class TestThickness:
         )
         assert len(snapshots) == len(series) == 6
         th = series.thickness()
-        direct = thickness_function(np.asarray(snapshots), series.times)
+        direct = np.trapezoid(np.asarray(snapshots), x=series.times, axis=0)
         assert np.array_equal(th, direct)
 
     def test_series_thickness_of_fewer_than_two_samples_is_zero(self):
@@ -259,7 +256,7 @@ class TestSteadyStatePattern:
         fields = initial_condition(mesh, params, seed=5)
         state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
         cfg = SolverConfig(tau=1e-2, T=100.0)
-        final, series = run_stationary(state, params, cfg, stride=10)
+        final, series = run(state, params, cfg, stride=10)
         assert not series.stopped
         # increments settle and the pattern has visible amplitude
         assert series.samples[-1].inc_eta_l2 < 1e-6

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 
 from esdib import (
     DegeneracyStop,
-    ModeError,
     NumericsError,
     SimState,
     SolverConfig,
@@ -18,7 +17,6 @@ from esdib import (
     default_params,
     initial_condition,
     run,
-    run_stationary,
     solve_spd,
     step,
     surface_area,
@@ -338,11 +336,6 @@ class TestRun:
         passes = count_geometry_passes(monkeypatch)
         run(self.state, self.params, SolverConfig(tau=1e-2, T=0.1), stride=1)
         assert len(passes) == 1
-
-    def test_stationary_solver_requires_frozen_surface(self):
-        moving = default_params(B=30.0, C=3.0, kappa=0.2)
-        with pytest.raises(ModeError):
-            run_stationary(self.state, moving, SolverConfig())
 
 
 class TestDegeneracyStop:
