@@ -3,7 +3,7 @@
 Three subcommands::
 
     esdib run    (--preset N | --config FILE) [--out DIR] [--section.key value ...]
-    esdib mesh   (--preset N | --kind KIND --size S) [--resolution R] -o FILE [--obj FILE]
+    esdib mesh   [--preset N] [--kind KIND] [--size S] [--resolution R] -o FILE [--obj FILE]
     esdib verify
 
 ``run`` writes an artifact directory: the resolved configuration, the
@@ -11,6 +11,8 @@ diagnostics CSV, the final state as VTK (plus OBJ on request), periodic
 snapshots when enabled, and a JSON summary.  Any ``section.key`` from the
 config schema can be overridden directly on the command line, for example
 ``--solver.tau 0.005`` or ``--domain.resolution 64``.
+``mesh`` resolves its domain as ``run`` resolves ``[domain]``: ``--kind``,
+``--size`` and ``--resolution`` override the preset's domain.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 solver failure,
 4 degeneracy stop (artifacts up to the stop time are still written).
@@ -23,10 +25,10 @@ import json
 import os
 import sys
 
-from .config import PRESETS, RunConfig, dump_config, load_config
-from .errors import ConfigError, DegeneracyStop, EsdibError
+from .config import RunConfig, dump_config, load_config, load_domain
+from .errors import ConfigError, EsdibError
 from .kinetics import initial_condition
-from .meshgen import DomainSpec, build_domain, default_resolution
+from .meshgen import build_domain
 from .stepper import SimState, run
 from .vtkio import export_mesh_snapshot, write_obj, write_vtk
 
@@ -173,23 +175,11 @@ def _cmd_run(args, extras) -> int:
 def _cmd_mesh(args, extras) -> int:
     if extras:
         raise ConfigError(f"unrecognised argument {extras[0]!r}")
-    if args.preset is not None:
-        if args.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {args.preset}; valid ids are {sorted(PRESETS)}"
-            )
-        spec = PRESETS[args.preset].domain
-        if args.resolution is not None:
-            spec = DomainSpec(spec.kind, spec.size, args.resolution)
-    else:
-        if args.kind is None or args.size is None:
-            raise ConfigError("mesh needs --preset or both --kind and --size")
-        resolution = (
-            args.resolution
-            if args.resolution is not None
-            else default_resolution(args.kind, args.size)
-        )
-        spec = DomainSpec(args.kind, args.size, resolution)
+    flags = {"kind": args.kind, "size": args.size, "resolution": args.resolution}
+    spec = load_domain(
+        args.preset,
+        {f"domain.{key}": value for key, value in flags.items() if value is not None},
+    )
     mesh = build_domain(spec)
     write_vtk(args.output, mesh, title=f"{spec.kind} size {spec.size}")
     if args.obj:
@@ -228,9 +218,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"esdib: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except DegeneracyStop as e:
-        print(f"esdib: {e}", file=sys.stderr)
-        return EXIT_DEGENERACY
     except EsdibError as e:
         print(f"esdib: solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER

@@ -5,7 +5,7 @@ file supplies the required ones):
 
 * ``[domain]`` -- ``kind`` (square | sphere), ``size`` (edge length or
   radius), ``resolution`` (grid divisions or subdivision level; defaults to
-  a target edge length of about 0.2),
+  a target edge length of about 0.2 for the resolved kind and size),
 * ``[kinetics]`` -- ``B``, ``C``, ``rho``, ``kappa``, ``d``, ``amplitude``,
   ``seed``, ``shared_noise``,
 * ``[solver]`` -- ``tau``, ``T``, ``cg_tol``, ``cg_maxiter``,
@@ -14,34 +14,130 @@ file supplies the required ones):
   (0 disables periodic snapshots; otherwise a multiple of ``sample_stride``),
   ``write_obj``.
 
-Precedence: package defaults, then the preset, then the config file, then
-command-line overrides.  Unknown sections or keys are rejected, and every
-validation error names the offending ``section.key``.
+A configuration is resolved from four layers of text, each overriding the one
+before: the package defaults, the preset, the config file, then command-line
+overrides.  The package defaults are the keyword defaults of
+:func:`~esdib.kinetics.default_params` and
+:func:`~esdib.kinetics.initial_condition` and the field defaults of
+:class:`~esdib.stepper.SolverConfig` (except the required ``T``) and
+:class:`OutputConfig`; a preset supplies kind, size, B, C, rho and T.  The
+merged layers are parsed through one key table, :data:`_SCHEMA`, which also
+rejects unknown sections and keys and orders :func:`dump_config`.  Every
+validation error names the offending ``section.key``.  :func:`load_domain`
+resolves the ``[domain]`` section alone the same way, for ``esdib mesh``.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .kinetics import KineticsParams, default_params
+from .kinetics import KineticsParams, default_params, initial_condition
 from .meshgen import DomainSpec, default_resolution
 from .stepper import SolverConfig
-
-_SCHEMA = {
-    "domain": ("kind", "size", "resolution"),
-    "kinetics": ("B", "C", "rho", "kappa", "d", "amplitude", "seed", "shared_noise"),
-    "solver": ("tau", "T", "cg_tol", "cg_maxiter", "min_triangle_area", "min_angle_deg"),
-    "output": ("directory", "sample_stride", "snapshot_stride", "write_obj"),
-}
 
 _BOOL_WORDS = {
     "1": True, "yes": True, "true": True, "on": True,
     "0": False, "no": False, "false": False, "off": False,
 }
+
+
+def _number(minimum=None, exclusive=False):
+    """Parser of a finite float, optionally bounded below."""
+
+    def parse(name: str, text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ConfigError(f"{name} must be a number, got {text!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if minimum is not None:
+            if exclusive and not value > minimum:
+                raise ConfigError(f"{name} must be greater than {minimum}, got {value}")
+            if not exclusive and not value >= minimum:
+                raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _integer(minimum: int):
+    """Parser of an integer bounded below."""
+
+    def parse(name: str, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"{name} must be an integer, got {text!r}")
+        if value < minimum:
+            raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _boolean(name: str, text: str) -> bool:
+    word = text.strip().lower()
+    if word not in _BOOL_WORDS:
+        raise ConfigError(f"{name} must be a boolean, got {text!r}")
+    return _BOOL_WORDS[word]
+
+
+def _kind(name: str, text: str) -> str:
+    if text not in ("square", "sphere"):
+        raise ConfigError(f"{name} must be square or sphere, got {text!r}")
+    return text
+
+
+def _directory(name: str, text: str) -> str:
+    if not text:
+        raise ConfigError(f"{name} must not be empty")
+    return text
+
+
+_positive = _number(0.0, exclusive=True)
+_non_negative = _number(0.0)
+
+
+def _auto_or_area(name: str, text: str) -> float | None:
+    return None if text.strip().lower() == "auto" else _positive(name, text)
+
+
+#: section -> key -> parser of its text; the key order is the order of
+#: resolution (and so of error reporting) and of :func:`dump_config`
+_SCHEMA = {
+    "domain": {"kind": _kind, "size": _positive, "resolution": _integer(1)},
+    "kinetics": {
+        "B": _number(), "C": _number(), "rho": _positive, "kappa": _non_negative,
+        "d": _positive, "amplitude": _non_negative, "seed": _integer(0),
+        "shared_noise": _boolean,
+    },
+    "solver": {
+        "tau": _positive, "T": _non_negative, "cg_tol": _positive,
+        "cg_maxiter": _integer(1), "min_triangle_area": _auto_or_area,
+        "min_angle_deg": _non_negative,
+    },
+    "output": {
+        "directory": _directory, "sample_stride": _integer(1),
+        "snapshot_stride": _integer(0), "write_obj": _boolean,
+    },
+}
+
+
+def _render(value) -> str:
+    """Text of a resolved value that its key's parser reads back exactly."""
+    if value is None:
+        return "auto"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -101,10 +197,35 @@ class RunConfig:
     preset_id: int | None = None
 
     def kinetics_params(self) -> KineticsParams:
-        params = default_params(self.B, self.C, rho=self.rho, kappa=self.kappa)
-        if self.d != params.d:
-            params = replace(params, d=self.d)
-        return params
+        return default_params(self.B, self.C, rho=self.rho, kappa=self.kappa, d=self.d)
+
+
+def _keyword_defaults(*functions) -> dict:
+    return {
+        p.name: p.default
+        for function in functions
+        for p in inspect.signature(function).parameters.values()
+        if p.default is not p.empty
+    }
+
+
+#: the package-defaults layer, as text like every other layer
+_DEFAULTS = {
+    section: {key: _render(value) for key, value in values.items()}
+    for section, values in {
+        "kinetics": _keyword_defaults(default_params, initial_condition),
+        "solver": {f.name: f.default for f in fields(SolverConfig) if f.name != "T"},
+        "output": {f.name: f.default for f in fields(OutputConfig)},
+    }.items()
+}
+
+
+def _preset_layer(p: ExperimentPreset) -> dict[str, dict[str, str]]:
+    return {
+        "domain": {"kind": p.domain.kind, "size": _render(p.domain.size)},
+        "kinetics": {"B": _render(p.B), "C": _render(p.C), "rho": _render(p.rho)},
+        "solver": {"T": _render(p.T)},
+    }
 
 
 def _read_ini(path: str) -> dict[str, dict[str, str]]:
@@ -122,88 +243,53 @@ def _read_ini(path: str) -> dict[str, dict[str, str]]:
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
-def _validate_keys(raw: dict[str, dict[str, str]]) -> None:
-    for section, entries in raw.items():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in entries:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-
-
-def _apply_overrides(raw: dict[str, dict[str, str]], overrides) -> None:
-    for dotted, value in overrides.items():
+def _merge(path, preset, overrides) -> dict[str, dict[str, str]]:
+    """Defaults < preset < config file < overrides, as one section -> key -> text table."""
+    raw = {section: dict(_DEFAULTS.get(section, {})) for section in _SCHEMA}
+    if preset is not None:
+        if preset not in PRESETS:
+            raise ConfigError(
+                f"unknown preset {preset}; valid ids are {sorted(PRESETS)}"
+            )
+        for section, entries in _preset_layer(PRESETS[preset]).items():
+            raw[section].update(entries)
+    if path is not None:
+        for section, entries in _read_ini(path).items():
+            if section not in _SCHEMA:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key in entries:
+                if key not in _SCHEMA[section]:
+                    raise ConfigError(f"unknown config key {section}.{key}")
+            raw[section].update(entries)
+    for dotted, value in (overrides or {}).items():
         if dotted.count(".") != 1:
-            raise ConfigError(
-                f"override {dotted!r} must look like section.key"
-            )
+            raise ConfigError(f"override {dotted!r} must look like section.key")
         section, key = dotted.split(".")
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
+        if key not in _SCHEMA.get(section, ()):
             raise ConfigError(f"unknown config key {section}.{key}")
-        raw.setdefault(section, {})[key] = str(value)
+        raw[section][key] = str(value)
+    return raw
 
 
-class _Resolver:
-    """Typed access to raw string values with section.key error naming."""
-
-    def __init__(self, raw: dict[str, dict[str, str]]):
-        self.raw = raw
-
-    def has(self, section: str, key: str) -> bool:
-        return key in self.raw.get(section, {})
-
-    def text(self, section: str, key: str, default: str | None = None) -> str | None:
-        return self.raw.get(section, {}).get(key, default)
-
-    def floating(self, section, key, default, *, minimum=None, exclusive=False):
-        text = self.text(section, key)
-        if text is None:
-            value = default
+def _parse(raw: dict[str, dict[str, str]], section: str) -> dict:
+    """Typed values of one merged section, checked key by key in schema order."""
+    texts = raw[section]
+    values = {}
+    for key, parse in _SCHEMA[section].items():
+        name = f"{section}.{key}"
+        if key in texts:
+            values[key] = parse(name, texts[key])
+        elif key == "resolution":
+            values[key] = default_resolution(values["kind"], values["size"])
         else:
-            try:
-                value = float(text)
-            except ValueError:
-                raise ConfigError(f"{section}.{key} must be a number, got {text!r}")
-        if value is None:
-            raise ConfigError(f"missing required config value {section}.{key}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{section}.{key} must be finite, got {value}")
-        if minimum is not None:
-            if exclusive and not value > minimum:
-                raise ConfigError(
-                    f"{section}.{key} must be greater than {minimum}, got {value}"
-                )
-            if not exclusive and not value >= minimum:
-                raise ConfigError(
-                    f"{section}.{key} must be at least {minimum}, got {value}"
-                )
-        return value
-
-    def integer(self, section, key, default, *, minimum=None):
-        text = self.text(section, key)
-        if text is None:
-            value = default
-        else:
-            try:
-                value = int(text)
-            except ValueError:
-                raise ConfigError(f"{section}.{key} must be an integer, got {text!r}")
-        if value is None:
-            raise ConfigError(f"missing required config value {section}.{key}")
-        if minimum is not None and value < minimum:
+            raise ConfigError(f"missing required config value {name}")
+        # snapshots are taken by an observer, which run calls only at sampled steps
+        if key == "snapshot_stride" and values[key] % values["sample_stride"] != 0:
             raise ConfigError(
-                f"{section}.{key} must be at least {minimum}, got {value}"
+                "output.snapshot_stride must be a multiple of output.sample_stride "
+                f"({values['sample_stride']}), got {values[key]}"
             )
-        return value
-
-    def boolean(self, section, key, default):
-        text = self.text(section, key)
-        if text is None:
-            return default
-        word = text.strip().lower()
-        if word not in _BOOL_WORDS:
-            raise ConfigError(f"{section}.{key} must be a boolean, got {text!r}")
-        return _BOOL_WORDS[word]
+    return values
 
 
 def load_config(path=None, preset=None, overrides=None) -> RunConfig:
@@ -224,105 +310,24 @@ def load_config(path=None, preset=None, overrides=None) -> RunConfig:
         Unknown preset id, missing file, parse errors (with line numbers),
         unknown keys, or invalid values (named as section.key).
     """
-    chosen: ExperimentPreset | None = None
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset}; valid ids are {sorted(PRESETS)}"
-            )
-        chosen = PRESETS[preset]
-
-    raw = _read_ini(path) if path is not None else {}
-    _validate_keys(raw)
-    if overrides:
-        _apply_overrides(raw, overrides)
-    r = _Resolver(raw)
-
-    kind = r.text("domain", "kind", chosen.domain.kind if chosen else None)
-    if kind is None:
-        raise ConfigError("missing required config value domain.kind")
-    if kind not in ("square", "sphere"):
-        raise ConfigError(f"domain.kind must be square or sphere, got {kind!r}")
-    size = r.floating(
-        "domain", "size", chosen.domain.size if chosen else None,
-        minimum=0.0, exclusive=True,
-    )
-    if r.has("domain", "resolution"):
-        resolution = r.integer("domain", "resolution", None, minimum=1)
-    elif chosen is not None and kind == chosen.domain.kind and size == chosen.domain.size:
-        resolution = chosen.domain.resolution
-    else:
-        resolution = default_resolution(kind, size)
-    domain = DomainSpec(kind=kind, size=size, resolution=resolution)
-
-    B = r.floating("kinetics", "B", chosen.B if chosen else None)
-    C = r.floating("kinetics", "C", chosen.C if chosen else None)
-    rho = r.floating(
-        "kinetics", "rho", chosen.rho if chosen else 1.0, minimum=0.0, exclusive=True
-    )
-    kappa = r.floating("kinetics", "kappa", 0.2, minimum=0.0)
-    d = r.floating("kinetics", "d", 20.0, minimum=0.0, exclusive=True)
-    amplitude = r.floating("kinetics", "amplitude", 1e-4, minimum=0.0)
-    seed = r.integer("kinetics", "seed", 0, minimum=0)
-    shared_noise = r.boolean("kinetics", "shared_noise", False)
-
-    tau = r.floating("solver", "tau", SolverConfig.tau, minimum=0.0, exclusive=True)
-    T = r.floating("solver", "T", chosen.T if chosen else None, minimum=0.0)
-    cg_tol = r.floating("solver", "cg_tol", SolverConfig.cg_tol, minimum=0.0, exclusive=True)
-    cg_maxiter = r.integer("solver", "cg_maxiter", SolverConfig.cg_maxiter, minimum=1)
-    min_area_text = r.text("solver", "min_triangle_area", "auto")
-    if min_area_text is not None and min_area_text.strip().lower() == "auto":
-        min_triangle_area = None
-    else:
-        min_triangle_area = r.floating(
-            "solver", "min_triangle_area", None, minimum=0.0, exclusive=True
-        )
-    min_angle_deg = r.floating(
-        "solver", "min_angle_deg", SolverConfig.min_angle_deg, minimum=0.0
-    )
-    solver = SolverConfig(
-        tau=tau, T=T, cg_tol=cg_tol, cg_maxiter=cg_maxiter,
-        min_triangle_area=min_triangle_area, min_angle_deg=min_angle_deg,
-    )
-
-    directory = r.text("output", "directory", OutputConfig.directory)
-    if not directory:
-        raise ConfigError("output.directory must not be empty")
-    sample_stride = r.integer(
-        "output", "sample_stride", OutputConfig.sample_stride, minimum=1
-    )
-    snapshot_stride = r.integer(
-        "output", "snapshot_stride", OutputConfig.snapshot_stride, minimum=0
-    )
-    # snapshots are taken by an observer, which run calls only at sampled steps
-    if snapshot_stride % sample_stride != 0:
-        raise ConfigError(
-            "output.snapshot_stride must be a multiple of output.sample_stride "
-            f"({sample_stride}), got {snapshot_stride}"
-        )
-    output = OutputConfig(
-        directory=directory,
-        sample_stride=sample_stride,
-        snapshot_stride=snapshot_stride,
-        write_obj=r.boolean("output", "write_obj", OutputConfig.write_obj),
-    )
-
+    raw = _merge(path, preset, overrides)
+    values = {section: _parse(raw, section) for section in _SCHEMA}
     return RunConfig(
-        domain=domain, B=B, C=C, rho=rho, kappa=kappa, d=d,
-        amplitude=amplitude, seed=seed, shared_noise=shared_noise,
-        solver=solver, output=output,
-        preset_id=chosen.preset_id if chosen else None,
+        domain=DomainSpec(**values["domain"]),
+        **values["kinetics"],
+        solver=SolverConfig(**values["solver"]),
+        output=OutputConfig(**values["output"]),
+        preset_id=None if preset is None else PRESETS[preset].preset_id,
     )
 
 
-def _render(value) -> str:
-    if value is None:
-        return "auto"
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def load_domain(preset=None, overrides=None) -> DomainSpec:
+    """The domain :func:`load_config` resolves for the same preset and overrides.
+
+    Only the ``[domain]`` values are parsed, so a mesh needs no kinetics or
+    final time.  Raises :class:`ConfigError` as :func:`load_config` does.
+    """
+    return DomainSpec(**_parse(_merge(None, preset, overrides), "domain"))
 
 
 def dump_config(cfg: RunConfig) -> str:

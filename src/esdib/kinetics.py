@@ -70,11 +70,11 @@ def equilibrium_D(C: float, alpha: float, gamma: float) -> float:
 
 
 def default_params(
-    B: float, C: float, rho: float = 1.0, kappa: float = 0.2
+    B: float, C: float, rho: float = 1.0, kappa: float = 0.2, d: float = 20.0
 ) -> KineticsParams:
     """Parameter set with the standard fixed constants.
 
-    Only B, C, and the run-level factors rho and kappa vary between
+    Only B, C, and the run-level factors rho, kappa and d vary between
     experiments; D is derived from the equilibrium condition.
     """
     alpha, gamma = 0.5, 0.2
@@ -88,7 +88,7 @@ def default_params(
         gamma=gamma,
         k2=2.5,
         k3=1.5,
-        d=20.0,
+        d=d,
         rho=rho,
         kappa=kappa,
     )

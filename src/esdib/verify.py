@@ -16,7 +16,7 @@ command line as ``esdib verify``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,10 +37,7 @@ class CheckResult:
 
 def pure_diffusion_params(d: float = 20.0, kappa: float = 0.0) -> KineticsParams:
     """Parameters whose reaction terms vanish identically (f = g = 0)."""
-    return KineticsParams(
-        A1=0.0, A2=0.0, B=0.0, C=0.0, D=0.0, alpha=0.5, gamma=0.2,
-        k2=2.5, k3=1.5, d=d, rho=1.0, kappa=kappa,
-    )
+    return replace(default_params(0.0, 0.0, kappa=kappa, d=d), A1=0.0, A2=0.0)
 
 
 def stepwise_frozen_run(state, params, cfg, stride):

@@ -170,6 +170,22 @@ class TestMeshCommand:
         assert len([l for l in text.splitlines() if l.startswith("v ")]) == 9
         assert len([l for l in text.splitlines() if l.startswith("f ")]) == 8
 
+    def test_preset_size_override_recomputes_resolution(self, tmp_path):
+        # same rule as `esdib run --preset 1 --domain.size 10`: 10 / 0.2 = 50 divisions
+        out = tmp_path / "square.vtk"
+        assert run_main("mesh", "--preset", "1", "--size", "10", "-o", str(out)) == 0
+        nodes, _, _ = read_vtk(out)
+        assert nodes.shape[0] == 51 * 51
+        assert nodes[:, 0].max() == pytest.approx(10.0, rel=1e-15)
+
+    def test_preset_kind_override(self, tmp_path):
+        out = tmp_path / "square.vtk"
+        assert run_main(
+            "mesh", "--preset", "4", "--kind", "square", "-o", str(out)
+        ) == 0
+        nodes, triangles, _ = read_vtk(out)
+        assert not SurfaceMesh(nodes, triangles).is_closed()
+
     def test_mesh_requires_domain(self, tmp_path):
         assert run_main("mesh", "-o", str(tmp_path / "m.vtk")) == 2
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from esdib import PRESETS, ConfigError, dump_config, load_config
+from esdib.config import load_domain
 
 
 class TestPresets:
@@ -77,6 +78,19 @@ class TestLoadConfig:
     def test_explicit_resolution_wins(self):
         cfg = load_config(preset=1, overrides={"domain.resolution": 33})
         assert cfg.domain.resolution == 33
+
+    @pytest.mark.parametrize(
+        "preset,overrides",
+        [
+            (1, {"domain.size": "10"}),
+            (4, {"domain.kind": "square"}),
+            (2, {"domain.resolution": "12"}),
+        ],
+    )
+    def test_load_domain_matches_run_domain(self, preset, overrides):
+        assert load_domain(preset, overrides) == load_config(
+            preset=preset, overrides=overrides
+        ).domain
 
     def test_without_preset_requires_domain_and_kinetics(self):
         with pytest.raises(ConfigError, match="domain.kind"):
