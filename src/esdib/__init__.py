@@ -21,7 +21,6 @@ Typical use::
 """
 
 from . import errors
-from .assembly import LumpedMass, StiffnessPattern, assemble_lumped_mass, assemble_stiffness
 from .errors import (
     ConfigError,
     DataError,
@@ -60,13 +59,16 @@ from .kinetics import (
     initial_condition,
 )
 from .mesh import (
+    LumpedMass,
     MeshQuality,
+    StiffnessPattern,
     SurfaceMesh,
+    assemble_lumped_mass,
+    assemble_stiffness,
     compute_node_normals,
     displace_nodes,
     mesh_quality,
     surface_area,
-    triangle_area,
     triangle_areas,
 )
 from .meshgen import (
@@ -134,7 +136,6 @@ __all__ = [
     "solve_spd",
     "step",
     "surface_area",
-    "triangle_area",
     "triangle_areas",
     "write_obj",
     "write_vtk",

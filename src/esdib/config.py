@@ -240,6 +240,8 @@ def _read_ini(path: str) -> dict[str, dict[str, str]]:
             parser.read_file(f, source=path)
     except configparser.Error as e:
         raise ConfigError(f"cannot parse {path}: {e}") from e
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ConfigError("unknown config section [DEFAULT]")
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 

@@ -7,11 +7,26 @@ stepping only moves nodes, so :func:`displace_nodes` returns a new mesh that
 shares connectivity with the old one and skips re-validation.
 
 All geometric queries (areas, vertex normals, quality metrics, and the lumped
-mass and stiffness in :mod:`esdib.assembly`) read one per-triangle geometry
-pass: edge vectors, the edge cross product, edge lengths and edge dot
-products, vectorised over triangles with numpy.  The pass is computed once per
-mesh, on first use, and cached on it; node arrays are read-only and node
-motion makes a new mesh, so the cache never goes stale.
+mass and stiffness) read one per-triangle geometry pass: edge vectors, the
+edge cross product, edge lengths and edge dot products, vectorised over
+triangles with numpy.  The pass is computed once per mesh, on first use, and
+cached on it; node arrays are read-only and node motion makes a new mesh, so
+the cache never goes stale.  Only this module knows the pass's layout.
+
+The two finite element operators assembled from the pass are
+
+* the lumped mass matrix, diagonal with entry ``sum(area(T) / 3)`` over the
+  triangles incident to each node, and
+* the stiffness matrix of the surface Laplacian with per-triangle entries
+  ``K_ij = dot(e_i, e_j) / (4 A)`` where ``e_i`` is the edge opposite vertex
+  ``i`` (the classic cotangent weights, written via in-plane P1 gradients).
+
+Connectivity never changes during a run, so the stiffness sparsity pattern is
+built once (:class:`StiffnessPattern`) and reused for every reassembly as the
+geometry moves.  Values are accumulated with ``np.bincount`` in a fixed entry
+order, which makes reassembly deterministic and keeps the matrix exactly
+symmetric: the local 3 x 3 blocks are symmetric by construction and mirrored
+slots receive their contributions in the same order.
 """
 
 from __future__ import annotations
@@ -19,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import DegenerateGeometryError, MeshStructureError, NumericsError
 
@@ -82,10 +98,9 @@ class SurfaceMesh:
                 f"triangle {bad} references a node outside [0, {n})"
             )
 
-        areas = _triangle_areas(nodes, triangles)
-        if areas.size and areas.min() <= 0.0:
-            bad = int(np.argmin(areas))
-            raise DegenerateGeometryError(f"triangle {bad} has zero area")
+        # twice the areas as the geometry pass computes them, without the whole pass
+        _, e1, e2 = _edges(nodes, triangles)
+        _reject_zero_area(_row_norms(np.cross(e2, -e1)))
 
         self.nodes = nodes
         self.triangles = triangles
@@ -153,12 +168,6 @@ def _boundary_flags(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     return flags
 
 
-def _triangle_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = nodes[triangles]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
-
-
 class _TriangleGeometry:
     """Per-triangle quantities shared by every geometric query on one mesh.
 
@@ -195,13 +204,15 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
 
 
+def _edges(nodes: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Edge vectors ``e0, e1, e2`` of every triangle, ``e_i`` opposite vertex ``i``."""
+    p0, p1, p2 = (np.take(nodes, triangles[:, k], axis=0) for k in range(3))
+    return p2 - p1, p0 - p2, p1 - p0
+
+
 def _geometry_pass(nodes: np.ndarray, triangles: np.ndarray) -> _TriangleGeometry:
     """Compute the per-triangle geometry of ``nodes[triangles]`` in one pass."""
-    p0, p1, p2 = (np.take(nodes, triangles[:, k], axis=0) for k in range(3))
-    e0 = p2 - p1
-    e1 = p0 - p2
-    e2 = p1 - p0
-    del p0, p1, p2
+    e0, e1, e2 = _edges(nodes, triangles)
     cross = np.cross(e2, -e1)
     lengths = np.stack([_row_norms(e0), _row_norms(e1), _row_norms(e2)])
     dots = np.stack(
@@ -211,6 +222,13 @@ def _geometry_pass(nodes: np.ndarray, triangles: np.ndarray) -> _TriangleGeometr
         ]
     )
     return _TriangleGeometry(cross, _row_norms(cross), lengths, dots)
+
+
+def _reject_zero_area(areas: np.ndarray) -> None:
+    """Name the first triangle whose area (or a multiple of it) is not positive."""
+    if areas.size and areas.min() <= 0.0:
+        bad = int(np.argmin(areas))
+        raise DegenerateGeometryError(f"triangle {bad} has zero area")
 
 
 def _geometry(mesh: SurfaceMesh) -> _TriangleGeometry:
@@ -231,17 +249,106 @@ def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
     return 0.5 * _geometry(mesh).doubled
 
 
-def triangle_area(mesh: SurfaceMesh, t: int) -> float:
-    """Area of triangle ``t`` (half the cross-product norm of two edges)."""
-    if not 0 <= t < mesh.n_triangles:
-        raise IndexError(f"triangle index {t} out of range [0, {mesh.n_triangles})")
-    p = mesh.nodes[mesh.triangles[t]]
-    return float(0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0])))
-
-
 def surface_area(mesh: SurfaceMesh) -> float:
     """Total surface area, the sum of all triangle areas."""
     return float(triangle_areas(mesh).sum())
+
+
+@dataclass(frozen=True)
+class LumpedMass:
+    """Diagonal of the lumped mass matrix; ``diag.sum()`` equals the surface area."""
+
+    diag: np.ndarray
+
+    def total(self) -> float:
+        return float(self.diag.sum())
+
+
+def assemble_lumped_mass(mesh: SurfaceMesh) -> LumpedMass:
+    """Lumped mass diagonal: each triangle spreads a third of its area to its nodes."""
+    areas = triangle_areas(mesh)
+    _reject_zero_area(areas)
+    thirds = np.repeat(areas / 3.0, 3)
+    diag = np.bincount(mesh.triangles.ravel(), weights=thirds, minlength=mesh.n_nodes)
+    return LumpedMass(diag=diag)
+
+
+class StiffnessPattern:
+    """Static CSR sparsity of the stiffness matrix for a fixed connectivity.
+
+    Attributes
+    ----------
+    indices, indptr : ndarray
+        CSR structure shared by every matrix assembled from this pattern.
+    slot : ndarray of shape (9 * n_triangles,)
+        Position in the CSR data array of each per-triangle entry, in the
+        fixed order (i,i), (i,j), (i,k), (j,i), ... of the local block.
+    diagonal_slots : ndarray of shape (n_nodes,)
+        Position of each (i, i) entry in the data array.
+    """
+
+    __slots__ = ("n_nodes", "nnz", "indices", "indptr", "slot", "diagonal_slots")
+
+    def __init__(self, triangles: np.ndarray, n_nodes: int):
+        tri = np.asarray(triangles, dtype=np.int64)
+        rows = tri[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
+        cols = tri[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
+        codes = rows * n_nodes + cols
+        unique_codes, slot = np.unique(codes, return_inverse=True)
+        urows = unique_codes // n_nodes
+        ucols = unique_codes % n_nodes
+
+        self.n_nodes = int(n_nodes)
+        self.nnz = int(unique_codes.size)
+        self.indices = ucols.astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(urows, minlength=n_nodes))]
+        ).astype(np.int32)
+        self.slot = slot
+        diag = np.searchsorted(unique_codes, np.arange(n_nodes) * (n_nodes + 1))
+        ok = (diag < self.nnz) & (
+            unique_codes[np.minimum(diag, self.nnz - 1)]
+            == np.arange(n_nodes) * (n_nodes + 1)
+        )
+        if not ok.all():
+            bad = int(np.flatnonzero(~ok)[0])
+            raise MeshStructureError(f"node {bad} belongs to no triangle")
+        self.diagonal_slots = diag
+
+
+def assemble_stiffness(
+    mesh: SurfaceMesh, pattern: StiffnessPattern | None = None
+) -> csr_matrix:
+    """Stiffness matrix of the surface Laplacian in CSR form.
+
+    Each row sums to zero up to rounding (the operator annihilates
+    constants) and the matrix is symmetric positive semi-definite.
+
+    Parameters
+    ----------
+    pattern : StiffnessPattern, optional
+        Precomputed sparsity for this connectivity; built on the fly when
+        omitted.
+
+    Raises
+    ------
+    DegenerateGeometryError
+        A triangle has zero area (entries would be infinite).
+    """
+    if pattern is None:
+        pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
+    geometry = _geometry(mesh)
+    doubled = geometry.doubled  # 2 * area
+    _reject_zero_area(doubled)
+    w = 1.0 / (2.0 * doubled)  # 1 / (4 A)
+    d00, d01, d02, d11, d12, d22 = geometry.dots * w
+    # local block mirrored explicitly so symmetry is exact in floating point
+    vals = np.stack([d00, d01, d02, d01, d11, d12, d02, d12, d22], axis=1)
+    data = np.bincount(pattern.slot, weights=vals.ravel(), minlength=pattern.nnz)
+    return csr_matrix(
+        (data, pattern.indices, pattern.indptr),
+        shape=(pattern.n_nodes, pattern.n_nodes),
+    )
 
 
 def compute_node_normals(mesh: SurfaceMesh) -> np.ndarray:

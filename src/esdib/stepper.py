@@ -32,11 +32,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .assembly import LumpedMass, StiffnessPattern, assemble_lumped_mass, assemble_stiffness
 from .diagnostics import DiagnosticsSeries
 from .errors import DegeneracyStop, NumericsError, SolverConvergenceError
 from .kinetics import KineticsParams, eval_f, eval_g
-from .mesh import MeshQuality, SurfaceMesh, compute_node_normals, displace_nodes, mesh_quality
+from .mesh import (
+    LumpedMass, MeshQuality, StiffnessPattern, SurfaceMesh, assemble_lumped_mass,
+    assemble_stiffness, compute_node_normals, displace_nodes, mesh_quality,
+)
 
 
 @dataclass
@@ -64,6 +66,11 @@ class SolverConfig:
             raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
         if self.cg_maxiter < 1:
             raise ValueError(f"cg_maxiter must be >= 1, got {self.cg_maxiter}")
+        area = self.min_triangle_area
+        if area is not None and not (area > 0.0 and math.isfinite(area)):
+            raise ValueError(f"min_triangle_area must be positive or None, got {area}")
+        if not (self.min_angle_deg >= 0.0 and math.isfinite(self.min_angle_deg)):
+            raise ValueError(f"min_angle_deg must be >= 0, got {self.min_angle_deg}")
 
     @property
     def n_steps(self) -> int:
@@ -145,21 +152,6 @@ def solve_spd(
     )
 
 
-def _diffusion_system(
-    stiff: csr_matrix,
-    pattern: StiffnessPattern,
-    mass_diag: np.ndarray,
-    tau: float,
-    diffusivity: float,
-) -> csr_matrix:
-    """CSR matrix ``diffusivity * K + diag(mass) / tau`` sharing K's pattern."""
-    data = diffusivity * stiff.data
-    data[pattern.diagonal_slots] += mass_diag / tau
-    return csr_matrix(
-        (data, stiff.indices, stiff.indptr), shape=stiff.shape
-    )
-
-
 def _diffusion_systems(
     mesh: SurfaceMesh,
     pattern: StiffnessPattern,
@@ -168,43 +160,16 @@ def _diffusion_systems(
     tau: float,
     d: float,
 ) -> tuple[csr_matrix, csr_matrix]:
-    """The eta and theta system matrices on ``mesh``; the stiffness is not kept."""
-    stiff = assemble_stiffness(mesh, pattern)
-    return (
-        _diffusion_system(stiff, pattern, mass_old.diag, tau, 1.0),
-        _diffusion_system(stiff, pattern, mass_new.diag, tau, d),
-    )
+    """The eta and theta system matrices on ``mesh``, in the stiffness's pattern.
 
-
-def _frozen_operators(
-    mesh: SurfaceMesh,
-    pattern: StiffnessPattern,
-    mass: LumpedMass,
-    params: KineticsParams,
-    cfg: SolverConfig,
-) -> tuple[tuple[csr_matrix, csr_matrix], MeshQuality]:
-    """System matrices and quality of a surface that does not move."""
-    return _diffusion_systems(mesh, pattern, mass, mass, cfg.tau, params.d), mesh_quality(mesh)
-
-
-def _solve_fields(
-    eta: np.ndarray,
-    theta: np.ndarray,
-    mass_old: LumpedMass,
-    systems: tuple[csr_matrix, csr_matrix],
-    params: KineticsParams,
-    cfg: SolverConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit-diffusion, explicit-reaction field update on the moved mesh."""
-    tau = cfg.tau
-    f_vals = eval_f(eta, theta, params)
-    g_vals = eval_g(eta, theta, params)
-    rhs_eta = (mass_old.diag * eta) / tau + params.rho * (mass_old.diag * f_vals)
-    rhs_theta = (mass_old.diag * theta) / tau + params.rho * (mass_old.diag * g_vals)
-    A_eta, A_theta = systems
-    eta_next = solve_spd(A_eta, rhs_eta, cfg.cg_tol, cfg.cg_maxiter, x0=eta)
-    theta_next = solve_spd(A_theta, rhs_theta, cfg.cg_tol, cfg.cg_maxiter, x0=theta)
-    return eta_next, theta_next
+    ``K + diag(mass_old) / tau`` and ``d K + diag(mass_new) / tau``; the
+    stiffness ``K`` itself is not kept: the eta system is built in its place.
+    """
+    A_eta = assemble_stiffness(mesh, pattern)
+    A_theta = d * A_eta
+    A_eta.data[pattern.diagonal_slots] += mass_old.diag / tau
+    A_theta.data[pattern.diagonal_slots] += mass_new.diag / tau
+    return A_eta, A_theta
 
 
 def _check_finite(state_index: int, *arrays: np.ndarray) -> None:
@@ -228,17 +193,19 @@ def _advance(
     pattern: StiffnessPattern,
     mass: LumpedMass,
     min_area: float,
-    frozen: tuple[tuple[csr_matrix, csr_matrix], MeshQuality] | None = None,
-) -> tuple[SimState, LumpedMass, MeshQuality]:
+    systems: tuple[csr_matrix, csr_matrix] | None = None,
+) -> tuple[SimState, LumpedMass, MeshQuality | None]:
     """One step given precomputed pattern, old mass, and resolved threshold.
 
-    Returns the new state with its lumped mass and mesh quality.  At
-    ``kappa = 0`` the system matrices and quality come from ``frozen``
-    (see :func:`_frozen_operators`), or are built afresh when it is omitted.
+    Returns the new state with its lumped mass and the quality of its moved
+    mesh; the quality is ``None`` at ``kappa = 0``, where the mesh is the
+    input's.  ``systems`` are a frozen surface's system matrices (see
+    :func:`_diffusion_systems`); they are built here when omitted.
     """
+    tau = cfg.tau
     if params.kappa != 0.0:
         normals = compute_node_normals(state.mesh)
-        displacement = (cfg.tau * params.kappa) * state.eta[:, None] * normals
+        displacement = (tau * params.kappa) * state.eta[:, None] * normals
         mesh_new = displace_nodes(state.mesh, displacement)
         quality = mesh_quality(mesh_new)
         if quality.min_area < min_area or quality.min_angle_deg < cfg.min_angle_deg:
@@ -247,20 +214,25 @@ def _advance(
                 f"{state.step_index + 1}: min area {quality.min_area:.3e}, "
                 f"min angle {quality.min_angle_deg:.3f} deg",
                 step_index=state.step_index + 1,
-                time=state.t + cfg.tau,
+                time=state.t + tau,
             )
         mass_new = assemble_lumped_mass(mesh_new)
-        systems = _diffusion_systems(mesh_new, pattern, mass, mass_new, cfg.tau, params.d)
     else:
-        mesh_new = state.mesh
-        mass_new = mass
-        if frozen is None:
-            frozen = _frozen_operators(mesh_new, pattern, mass, params, cfg)
-        systems, quality = frozen
-    eta_next, theta_next = _solve_fields(state.eta, state.theta, mass, systems, params, cfg)
+        mesh_new, mass_new, quality = state.mesh, mass, None
+    if systems is None:
+        systems = _diffusion_systems(mesh_new, pattern, mass, mass_new, tau, params.d)
+    # implicit diffusion on the moved mesh, explicit reaction with the old mass
+    eta, theta = state.eta, state.theta
+    f_vals = eval_f(eta, theta, params)
+    g_vals = eval_g(eta, theta, params)
+    rhs_eta = (mass.diag * eta) / tau + params.rho * (mass.diag * f_vals)
+    rhs_theta = (mass.diag * theta) / tau + params.rho * (mass.diag * g_vals)
+    A_eta, A_theta = systems
+    eta_next = solve_spd(A_eta, rhs_eta, cfg.cg_tol, cfg.cg_maxiter, x0=eta)
+    theta_next = solve_spd(A_theta, rhs_theta, cfg.cg_tol, cfg.cg_maxiter, x0=theta)
     _check_finite(state.step_index + 1, eta_next, theta_next)
     next_state = SimState(
-        t=state.t + cfg.tau,
+        t=state.t + tau,
         mesh=mesh_new,
         eta=eta_next,
         theta=theta_next,
@@ -335,8 +307,10 @@ def run(
     pattern = StiffnessPattern(initial.mesh.triangles, initial.mesh.n_nodes)
     mass = assemble_lumped_mass(initial.mesh)
     min_area = _resolve_min_area(cfg, initial.mesh, mass)
-    frozen = None if evolving else _frozen_operators(initial.mesh, pattern, mass, params, cfg)
-    quality = mesh_quality(initial.mesh) if frozen is None else frozen[1]
+    quality = mesh_quality(initial.mesh)
+    systems = None
+    if not evolving:
+        systems = _diffusion_systems(initial.mesh, pattern, mass, mass, cfg.tau, params.d)
 
     def sample(state: SimState, current_mass: LumpedMass, quality: MeshQuality) -> None:
         series.record(state, current_mass, quality)
@@ -347,14 +321,15 @@ def run(
     sample(state, mass, quality)
     for k in range(1, n_steps + 1):
         try:
-            state, mass, quality = _advance(
-                state, params, cfg, pattern, mass, min_area, frozen
+            state, mass, moved_quality = _advance(
+                state, params, cfg, pattern, mass, min_area, systems
             )
         except DegeneracyStop as stop:
             series.mark_stopped(str(stop))
             if (k - 1) % stride != 0:  # pre-step state not sampled yet
                 sample(state, mass, quality)
             return state, series
+        quality = moved_quality or quality  # a frozen surface keeps its quality
         if k % stride == 0 or k == n_steps:
             sample(state, mass, quality)
     return state, series

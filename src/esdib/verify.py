@@ -20,10 +20,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import assemble_lumped_mass, assemble_stiffness
 from .diagnostics import DiagnosticsSeries, mass_integral
 from .kinetics import KineticsParams, default_params, initial_condition
-from .mesh import SurfaceMesh, compute_node_normals, mesh_quality, surface_area
+from .mesh import (
+    SurfaceMesh, assemble_lumped_mass, assemble_stiffness, compute_node_normals,
+    mesh_quality, surface_area,
+)
 from .meshgen import generate_icosphere, generate_square
 from .stepper import SimState, SolverConfig, run, step
 

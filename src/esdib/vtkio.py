@@ -133,6 +133,8 @@ def read_vtk(path):
     triangles = cells[:, 1:]
     expect("CELL_TYPES")
     type_count = int(take(1)[0])
+    if type_count != m:
+        raise DataError(f"{type_count} CELL_TYPES for {m} CELLS in {path}")
     types = np.array(take(type_count), dtype=np.int64)
     if not (types == _TRIANGLE_CELL_TYPE).all():
         raise DataError(f"unsupported cell type in {path}")
@@ -140,6 +142,8 @@ def read_vtk(path):
     if pos < len(tokens) and tokens[pos].upper() == "POINT_DATA":
         pos += 1
         count = int(take(1)[0])
+        if count != n:
+            raise DataError(f"POINT_DATA {count} for {n} POINTS in {path}")
         while pos < len(tokens) and tokens[pos].upper() == "SCALARS":
             pos += 1
             name = take(1)[0]

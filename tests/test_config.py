@@ -168,6 +168,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="domain.shape"):
             load_config(path=str(ini), preset=1)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[DEFAULT]\nB = 99\n",
+            "[DEFAULT]\nB = 99\n\n[kinetics]\nC = 3.0\n",
+            "[DEFAULT]\nB = 99\n\n[solver]\ntau = 0.01\n",
+        ],
+        ids=["alone", "with_kinetics", "with_solver"],
+    )
+    def test_default_section_rejected(self, tmp_path, text):
+        # configparser would copy its keys into every other section
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+            load_config(path=str(ini), preset=1)
+
     def test_keys_are_case_sensitive(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[kinetics]\nb = 30.0\n")

@@ -9,7 +9,6 @@ from esdib import (
     generate_square,
     mesh_quality,
     surface_area,
-    triangle_area,
     triangle_areas,
 )
 from esdib import mesh as mesh_module
@@ -89,15 +88,11 @@ class TestConstruction:
 
 class TestAreas:
     def test_unit_right_triangle(self):
-        assert triangle_area(single_triangle(), 0) == 0.5
+        assert triangle_areas(single_triangle())[0] == 0.5
 
     def test_equilateral_triangle(self):
         mesh = single_triangle(((0, 0, 0), (1, 0, 0), (0.5, np.sqrt(3) / 2, 0)))
-        assert triangle_area(mesh, 0) == pytest.approx(np.sqrt(3) / 4, abs=1e-15)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            triangle_area(single_triangle(), 1)
+        assert triangle_areas(mesh)[0] == pytest.approx(np.sqrt(3) / 4, abs=1e-15)
 
     def test_unit_square_area(self):
         assert surface_area(generate_square(1.0, 3)) == pytest.approx(1.0, abs=1e-12)
@@ -110,14 +105,6 @@ class TestAreas:
         unit = surface_area(generate_icosphere(1.0, 4))
         tripled = surface_area(generate_icosphere(3.0, 4))
         assert tripled == pytest.approx(9.0 * unit, rel=1e-12)
-
-    def test_triangle_areas_vector_matches_scalar(self):
-        mesh = generate_icosphere(1.0, 2)
-        areas = triangle_areas(mesh)
-        picked = [0, 7, mesh.n_triangles - 1]
-        assert areas[picked] == pytest.approx(
-            [triangle_area(mesh, t) for t in picked], abs=1e-15
-        )
 
 
 class TestNormals:

@@ -371,8 +371,14 @@ class TestDegeneracyStop:
         assert series.samples[-1].min_angle_deg == mesh_quality(final.mesh).min_angle_deg
 
     def test_angle_threshold_validation(self):
-        cfg = SolverConfig(min_angle_deg=0.5)
-        assert cfg.min_angle_deg == 0.5
+        for angle in (0.0, 0.5):
+            assert SolverConfig(min_angle_deg=angle).min_angle_deg == angle
+        for bad in (float("nan"), float("inf"), -0.5):
+            with pytest.raises(ValueError, match="min_angle_deg"):
+                SolverConfig(min_angle_deg=bad)
+        for bad in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="min_triangle_area"):
+                SolverConfig(min_triangle_area=bad)
 
 
 @pytest.mark.slow

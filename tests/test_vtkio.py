@@ -154,3 +154,22 @@ class TestReadErrors:
         )
         with pytest.raises(DataError, match="non-triangle"):
             read_vtk(bad)
+
+    def test_point_data_count_must_match_points(self, tmp_path):
+        path = tmp_path / "mesh.vtk"
+        write_vtk(path, generate_square(1.0, 2), point_data={"eta": np.zeros(9)})
+        bad = tmp_path / "short.vtk"
+        bad.write_text(path.read_text().replace("POINT_DATA 9", "POINT_DATA 5"))
+        with pytest.raises(DataError, match="POINT_DATA 5 for 9 POINTS"):
+            read_vtk(bad)
+
+    def test_cell_types_count_must_match_cells(self, tmp_path):
+        bad = tmp_path / "types.vtk"
+        bad.write_text(
+            "# vtk DataFile Version 3.0\ntitle\nASCII\n"
+            "DATASET UNSTRUCTURED_GRID\nPOINTS 3 double\n"
+            "0 0 0\n1 0 0\n0 1 0\n"
+            "CELLS 1 4\n3 0 1 2\nCELL_TYPES 0\n"
+        )
+        with pytest.raises(DataError, match="0 CELL_TYPES for 1 CELLS"):
+            read_vtk(bad)
