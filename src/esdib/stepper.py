@@ -62,7 +62,7 @@ class SolverConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not (self.T >= 0.0 and math.isfinite(self.T)):
             raise ValueError(f"final time T must be >= 0, got {self.T}")
-        if not (self.cg_tol > 0.0):
+        if not (self.cg_tol > 0.0 and math.isfinite(self.cg_tol)):
             raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
         if self.cg_maxiter < 1:
             raise ValueError(f"cg_maxiter must be >= 1, got {self.cg_maxiter}")

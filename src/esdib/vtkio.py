@@ -8,6 +8,13 @@ byte-identical files.  The reader handles exactly this subset, enough for
 round trips and for inspecting run artifacts.
 
 OBJ export writes geometry only (``v`` and ``f`` records, 1-based indices).
+
+Both writers format each section as one block of text from ``.tolist()``
+before the file is opened, then write the blocks with ``writelines``; the
+bytes are those of a line-by-line writer.  The ``CELLS``/``CELL_TYPES`` text
+depends only on the connectivity, which a run shares as one read-only array
+across every step, so the text of the last read-only triangle array written
+is kept and reused while the next mesh carries that same array.
 """
 
 from __future__ import annotations
@@ -19,9 +26,37 @@ from .mesh import SurfaceMesh
 
 _TRIANGLE_CELL_TYPE = 5
 
+#: (triangles, text) of the last read-only connectivity written as VTK cells.
+_cells_cache: tuple[np.ndarray, str] | None = None
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+
+def _block(row: str, count: int, values: np.ndarray) -> str:
+    """``count`` copies of the %-format ``row``, filled in order from ``values``.
+
+    ``%r`` of a Python float is its ``repr`` and ``%d`` of an int its ``str``,
+    so a block holds the same text as one f-string per row.
+    """
+    return (row * count) % tuple(values.ravel().tolist())
+
+
+def _vtk_cells(triangles: np.ndarray) -> str:
+    """The CELLS and CELL_TYPES sections for ``triangles``, cached per array."""
+    global _cells_cache
+    cached = _cells_cache  # one read, so another thread's entry is never half-seen
+    if cached is not None and cached[0] is triangles:
+        return cached[1]
+    m = triangles.shape[0]
+    text = (
+        f"CELLS {m} {4 * m}\n"
+        + _block("3 %d %d %d\n", m, triangles)
+        + f"CELL_TYPES {m}\n"
+        + f"{_TRIANGLE_CELL_TYPE}\n" * m
+    )
+    # holding the array keeps its id from being reused; only an array that
+    # cannot be written to is sure to still hold the same connectivity later
+    if not triangles.flags.writeable:
+        _cells_cache = (triangles, text)
+    return text
 
 
 def write_vtk(path, mesh: SurfaceMesh, point_data=None, title="surface snapshot") -> None:
@@ -33,33 +68,25 @@ def write_vtk(path, mesh: SurfaceMesh, point_data=None, title="surface snapshot"
         Nodal fields, each of length ``n_nodes``, written in dict order.
     """
     point_data = {} if point_data is None else point_data
-    n, m = mesh.n_nodes, mesh.n_triangles
+    n = mesh.n_nodes
     for name, values in point_data.items():
         if np.shape(values) != (n,):
             raise DataError(
                 f"field {name!r} has shape {np.shape(values)}, expected ({n},)"
             )
+    blocks = [
+        f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+        f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
+        _block("%r %r %r\n", n, mesh.nodes),
+        _vtk_cells(mesh.triangles),
+    ]
+    if point_data:
+        blocks.append(f"POINT_DATA {n}\n")
+        for name, values in point_data.items():
+            blocks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            blocks.append(_block("%r\n", n, np.asarray(values, dtype=np.float64)))
     with open(path, "w", newline="\n") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write(f"{title}\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {n} double\n")
-        for p in mesh.nodes:
-            f.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        f.write(f"CELLS {m} {4 * m}\n")
-        for tri in mesh.triangles:
-            f.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n")
-        f.write(f"CELL_TYPES {m}\n")
-        for _ in range(m):
-            f.write(f"{_TRIANGLE_CELL_TYPE}\n")
-        if point_data:
-            f.write(f"POINT_DATA {n}\n")
-            for name, values in point_data.items():
-                f.write(f"SCALARS {name} double 1\n")
-                f.write("LOOKUP_TABLE default\n")
-                for v in np.asarray(values, dtype=np.float64):
-                    f.write(f"{_fmt(v)}\n")
+        f.writelines(blocks)
 
 
 def export_mesh_snapshot(state, path) -> None:
@@ -68,17 +95,18 @@ def export_mesh_snapshot(state, path) -> None:
         path,
         state.mesh,
         point_data={"eta": state.eta, "theta": state.theta},
-        title=f"t = {_fmt(state.t)}",
+        title=f"t = {float(state.t)!r}",
     )
 
 
 def write_obj(path, mesh: SurfaceMesh) -> None:
     """Write geometry only as Wavefront OBJ (vertices and 1-based faces)."""
+    blocks = [
+        _block("v %r %r %r\n", mesh.n_nodes, mesh.nodes),
+        _block("f %d %d %d\n", mesh.n_triangles, mesh.triangles + 1),
+    ]
     with open(path, "w", newline="\n") as f:
-        for p in mesh.nodes:
-            f.write(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-        for tri in mesh.triangles:
-            f.write(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}\n")
+        f.writelines(blocks)
 
 
 def read_vtk(path):

@@ -132,6 +132,9 @@ class TestSolverConfig:
             SolverConfig(T=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(cg_tol=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="cg_tol"):
+                SolverConfig(cg_tol=bad)
         with pytest.raises(ValueError):
             SolverConfig(cg_maxiter=0)
 

@@ -16,7 +16,64 @@ from esdib import (
     write_obj,
     write_vtk,
 )
+from esdib.mesh import displace_nodes
 from esdib.meshgen import generate_icosphere, generate_square
+
+
+def reference_write_vtk(path, mesh, point_data=None, title="surface snapshot"):
+    """The line-by-line VTK writer whose bytes ``write_vtk`` must reproduce."""
+    fmt = lambda x: repr(float(x))
+    point_data = {} if point_data is None else point_data
+    n, m = mesh.n_nodes, mesh.n_triangles
+    with open(path, "w", newline="\n") as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write(f"{title}\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {n} double\n")
+        for p in mesh.nodes:
+            f.write(f"{fmt(p[0])} {fmt(p[1])} {fmt(p[2])}\n")
+        f.write(f"CELLS {m} {4 * m}\n")
+        for tri in mesh.triangles:
+            f.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n")
+        f.write(f"CELL_TYPES {m}\n")
+        for _ in range(m):
+            f.write("5\n")
+        if point_data:
+            f.write(f"POINT_DATA {n}\n")
+            for name, values in point_data.items():
+                f.write(f"SCALARS {name} double 1\n")
+                f.write("LOOKUP_TABLE default\n")
+                for v in np.asarray(values, dtype=np.float64):
+                    f.write(f"{fmt(v)}\n")
+
+
+def reference_write_obj(path, mesh):
+    """The line-by-line OBJ writer whose bytes ``write_obj`` must reproduce."""
+    fmt = lambda x: repr(float(x))
+    with open(path, "w", newline="\n") as f:
+        for p in mesh.nodes:
+            f.write(f"v {fmt(p[0])} {fmt(p[1])} {fmt(p[2])}\n")
+        for tri in mesh.triangles:
+            f.write(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}\n")
+
+
+def perturbed_icosphere(seed=0):
+    mesh = generate_icosphere(1.3, 2)
+    rng = np.random.default_rng(seed)
+    return displace_nodes(mesh, 1e-3 * rng.standard_normal(mesh.nodes.shape))
+
+
+def awkward_field(n, seed=0):
+    """A nodal field mixing random floats with values whose text is unusual."""
+    values = np.random.default_rng(seed).standard_normal(n)
+    special = [-0.0, 0.0, 5e-324, 1e300, -1e-7, 1.0, -3.0, 1e16, 0.1, 2.5e-310]
+    values[: len(special)] = special
+    return values
+
+
+def assert_same_bytes(path, reference_path):
+    assert path.read_bytes() == reference_path.read_bytes()
 
 
 @pytest.fixture
@@ -76,6 +133,73 @@ class TestWriteVtk:
     def test_wrong_field_shape_rejected(self, tmp_path, small_mesh):
         with pytest.raises(DataError, match="eta"):
             write_vtk(tmp_path / "bad.vtk", small_mesh, point_data={"eta": np.zeros(5)})
+
+
+class TestBytesMatchLineWriter:
+    def test_perturbed_sphere_with_awkward_fields(self, tmp_path):
+        mesh = perturbed_icosphere()
+        fields = {"eta": awkward_field(mesh.n_nodes, 1), "theta": awkward_field(mesh.n_nodes, 2)}
+        write_vtk(tmp_path / "new.vtk", mesh, point_data=fields, title="t = 0.25")
+        reference_write_vtk(tmp_path / "ref.vtk", mesh, point_data=fields, title="t = 0.25")
+        assert_same_bytes(tmp_path / "new.vtk", tmp_path / "ref.vtk")
+        assert "-0.0\n0.0\n5e-324\n1e+300\n-1e-07\n1.0\n" in (tmp_path / "new.vtk").read_text()
+
+    @pytest.mark.parametrize("point_data", [None, {}], ids=["none", "empty"])
+    def test_no_point_data_and_default_title(self, tmp_path, point_data):
+        mesh = perturbed_icosphere()
+        write_vtk(tmp_path / "new.vtk", mesh, point_data=point_data)
+        reference_write_vtk(tmp_path / "ref.vtk", mesh, point_data=point_data)
+        assert_same_bytes(tmp_path / "new.vtk", tmp_path / "ref.vtk")
+
+    def test_list_and_integer_fields(self, tmp_path, small_mesh):
+        fields = {"ids": np.arange(9), "listed": [float(k) / 3 for k in range(9)]}
+        write_vtk(tmp_path / "new.vtk", small_mesh, point_data=fields)
+        reference_write_vtk(tmp_path / "ref.vtk", small_mesh, point_data=fields)
+        assert_same_bytes(tmp_path / "new.vtk", tmp_path / "ref.vtk")
+
+    def test_connectivity_text_never_stale(self, tmp_path):
+        # the CELLS text is reused per triangle array: switching meshes and
+        # moving nodes over a shared array must still give the reference bytes
+        sphere, square = perturbed_icosphere(), generate_square(2.0, 3)
+        moved = displace_nodes(sphere, np.full(sphere.nodes.shape, 0.5))
+        assert moved.triangles is sphere.triangles
+        for k, mesh in enumerate([sphere, square, sphere, moved, square]):
+            eta = awkward_field(mesh.n_nodes, k)
+            write_vtk(tmp_path / f"new{k}.vtk", mesh, point_data={"eta": eta})
+            reference_write_vtk(tmp_path / f"ref{k}.vtk", mesh, point_data={"eta": eta})
+            assert_same_bytes(tmp_path / f"new{k}.vtk", tmp_path / f"ref{k}.vtk")
+
+    def test_writable_triangles_are_not_reused(self, tmp_path, small_mesh):
+        # a duck-typed mesh whose connectivity can change in place
+        class Loose:
+            nodes = small_mesh.nodes
+            triangles = small_mesh.triangles.copy()
+            n_nodes, n_triangles = small_mesh.n_nodes, small_mesh.n_triangles
+
+        write_vtk(tmp_path / "before.vtk", Loose)
+        Loose.triangles[0] = Loose.triangles[0, ::-1]
+        write_vtk(tmp_path / "new.vtk", Loose)
+        reference_write_vtk(tmp_path / "ref.vtk", Loose)
+        assert_same_bytes(tmp_path / "new.vtk", tmp_path / "ref.vtk")
+
+    def test_obj(self, tmp_path):
+        for k, mesh in enumerate([perturbed_icosphere(), generate_square(2.0, 3)]):
+            write_obj(tmp_path / f"new{k}.obj", mesh)
+            reference_write_obj(tmp_path / f"ref{k}.obj", mesh)
+            assert_same_bytes(tmp_path / f"new{k}.obj", tmp_path / f"ref{k}.obj")
+
+    def test_state_snapshot(self, tmp_path):
+        mesh = perturbed_icosphere()
+        state = SimState(
+            t=0.30000000000000004, mesh=mesh,
+            eta=awkward_field(mesh.n_nodes, 3), theta=awkward_field(mesh.n_nodes, 4),
+        )
+        export_mesh_snapshot(state, tmp_path / "new.vtk")
+        reference_write_vtk(
+            tmp_path / "ref.vtk", mesh, point_data={"eta": state.eta, "theta": state.theta},
+            title="t = 0.30000000000000004",
+        )
+        assert_same_bytes(tmp_path / "new.vtk", tmp_path / "ref.vtk")
 
 
 class TestSnapshot:
