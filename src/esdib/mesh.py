@@ -290,11 +290,31 @@ class StiffnessPattern:
     __slots__ = ("n_nodes", "nnz", "indices", "indptr", "slot", "diagonal_slots")
 
     def __init__(self, triangles: np.ndarray, n_nodes: int):
+        # The sorted distinct entry codes ``row * n_nodes + col`` and each
+        # entry's rank among them, as ``np.unique(codes, return_inverse=True)``
+        # gives them, built with one code array alive instead of three and
+        # every temporary dropped as soon as it is used.
         tri = np.asarray(triangles, dtype=np.int64)
-        rows = tri[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
-        cols = tri[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
-        codes = rows * n_nodes + cols
-        unique_codes, slot = np.unique(codes, return_inverse=True)
+        codes = np.empty((tri.shape[0], 9), dtype=np.int64)
+        for a in range(3):
+            row = tri[:, a] * n_nodes
+            for b in range(3):
+                np.add(row, tri[:, b], out=codes[:, 3 * a + b])
+        del row
+        codes = codes.ravel()
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        first = np.empty(codes.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        unique_codes = codes[first]
+        del codes
+        rank = np.cumsum(first)
+        del first
+        rank -= 1
+        slot = np.empty(rank.size, dtype=np.intp)
+        slot[order] = rank
+        del order, rank
         urows = unique_codes // n_nodes
         ucols = unique_codes % n_nodes
 

@@ -14,8 +14,13 @@ One step of the scheme, from time level n to n+1 with step size tau:
 
 Diffusion is implicit (backward Euler on the moved mesh), reactions and the
 normal motion explicit.  Both linear systems are symmetric positive definite
-and solved by Jacobi-preconditioned conjugate gradients warm-started from the
-previous field.
+and solved by Jacobi-preconditioned conjugate gradients.  Each solve starts
+from the cubic extrapolation ``4 x_n - 6 x_{n-1} + 4 x_{n-2} - x_{n-3}`` of
+the field's last four levels, or from the previous field when that has the
+smaller residual (and always before four levels exist); the earlier levels
+travel with the state as :attr:`SimState.history`.  The stopping rule does not
+depend on the start, so the start moves the fields only within the solver
+tolerance.
 
 With ``kappa = 0`` the mesh object is reused unchanged and the same update
 reduces to the classic fixed-surface scheme.  Mass, stiffness and both system
@@ -78,15 +83,31 @@ class SolverConfig:
         return max(0, math.ceil(self.T / self.tau - 1e-9))
 
 
+#: Weights of the current and earlier field levels, newest first, in the
+#: extrapolation that starts each solve: cubic, through four levels.
+_PREDICTOR = (4.0, -6.0, 4.0, -1.0)
+#: Earlier ``(eta, theta)`` levels a state carries for the extrapolation.
+HISTORY_LEVELS = len(_PREDICTOR) - 1
+
+
 @dataclass
 class SimState:
-    """Solver state at one time level."""
+    """Solver state at one time level.
+
+    ``history`` holds up to :data:`HISTORY_LEVELS` earlier ``(eta, theta)``
+    levels, newest first, as the very arrays of the earlier states (no
+    copies).  The solves of the next step start from their extrapolation; a
+    state built by hand starts with none.  Every step returns a state whose
+    history is the input's fields followed by the input's own history, so a
+    chain of :func:`step` calls and :func:`run` start every solve alike.
+    """
 
     t: float
     mesh: SurfaceMesh
     eta: np.ndarray
     theta: np.ndarray
     step_index: int = 0
+    history: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
 
 def solve_spd(
@@ -96,12 +117,18 @@ def solve_spd(
     maxiter: int = 10000,
     x0: np.ndarray | None = None,
     callback: Callable[[np.ndarray], None] | None = None,
+    guess: np.ndarray | None = None,
+    diag: np.ndarray | None = None,
 ) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients for a sparse SPD system.
 
     Iterates until ``||rhs - A x|| <= tol * ||rhs||``.  A zero right-hand
     side returns the zero vector immediately; a warm start ``x0`` that
-    already satisfies the tolerance is returned unchanged.
+    already satisfies the tolerance is returned unchanged.  Otherwise an
+    alternative start ``guess``, when given, replaces ``x0`` if its residual
+    norm is smaller; that check costs one matrix-vector product and is not
+    an iteration.  ``diag`` is ``A``'s diagonal when the caller already has
+    it.  ``callback(x)`` is called once per iteration with the iterate.
 
     Raises
     ------
@@ -117,7 +144,8 @@ def solve_spd(
         raise NumericsError("right-hand side contains non-finite values")
     if bnorm == 0.0:
         return np.zeros_like(rhs)
-    diag = A.diagonal()
+    if diag is None:
+        diag = A.diagonal()
     if diag.min() <= 0.0:
         raise NumericsError("system matrix has a non-positive diagonal entry")
     if x0 is None:
@@ -126,7 +154,14 @@ def solve_spd(
     else:
         x = np.array(x0, dtype=np.float64)
         r = rhs - A @ x
-    if float(np.linalg.norm(r)) <= tol * bnorm:
+    rnorm = float(np.linalg.norm(r))
+    if guess is not None and rnorm > tol * bnorm:
+        guess = np.asarray(guess, dtype=np.float64)
+        r_alt = rhs - A @ guess
+        alt_norm = float(np.linalg.norm(r_alt))
+        if alt_norm < rnorm:
+            x, r, rnorm = guess.copy(), r_alt, alt_norm
+    if rnorm <= tol * bnorm:
         return x
     z = r / diag
     p = z.copy()
@@ -152,6 +187,11 @@ def solve_spd(
     )
 
 
+#: A system matrix and its diagonal, which :func:`solve_spd` would otherwise
+#: gather on every call.
+_System = tuple[csr_matrix, np.ndarray]
+
+
 def _diffusion_systems(
     mesh: SurfaceMesh,
     pattern: StiffnessPattern,
@@ -159,17 +199,29 @@ def _diffusion_systems(
     mass_new: LumpedMass,
     tau: float,
     d: float,
-) -> tuple[csr_matrix, csr_matrix]:
-    """The eta and theta system matrices on ``mesh``, in the stiffness's pattern.
+) -> tuple[_System, _System]:
+    """The eta and theta systems on ``mesh``, in the stiffness's pattern.
 
-    ``K + diag(mass_old) / tau`` and ``d K + diag(mass_new) / tau``; the
-    stiffness ``K`` itself is not kept: the eta system is built in its place.
+    ``K + diag(mass_old) / tau`` and ``d K + diag(mass_new) / tau``, each with
+    its diagonal; the stiffness ``K`` itself is not kept: the eta system is
+    built in its place.
     """
     A_eta = assemble_stiffness(mesh, pattern)
     A_theta = d * A_eta
-    A_eta.data[pattern.diagonal_slots] += mass_old.diag / tau
-    A_theta.data[pattern.diagonal_slots] += mass_new.diag / tau
-    return A_eta, A_theta
+    slots = pattern.diagonal_slots
+    A_eta.data[slots] += mass_old.diag / tau
+    A_theta.data[slots] += mass_new.diag / tau
+    return (A_eta, A_eta.data[slots]), (A_theta, A_theta.data[slots])
+
+
+def _predict(levels: Sequence[np.ndarray]) -> np.ndarray | None:
+    """Extrapolation of a field from its levels, newest first; None while too few."""
+    if len(levels) < len(_PREDICTOR):
+        return None
+    guess = _PREDICTOR[0] * levels[0]
+    for weight, level in zip(_PREDICTOR[1:], levels[1:]):
+        guess += weight * level
+    return guess
 
 
 def _check_finite(state_index: int, *arrays: np.ndarray) -> None:
@@ -193,7 +245,7 @@ def _advance(
     pattern: StiffnessPattern,
     mass: LumpedMass,
     min_area: float,
-    systems: tuple[csr_matrix, csr_matrix] | None = None,
+    systems: tuple[_System, _System] | None = None,
 ) -> tuple[SimState, LumpedMass, MeshQuality | None]:
     """One step given precomputed pattern, old mass, and resolved threshold.
 
@@ -227,9 +279,16 @@ def _advance(
     g_vals = eval_g(eta, theta, params)
     rhs_eta = (mass.diag * eta) / tau + params.rho * (mass.diag * f_vals)
     rhs_theta = (mass.diag * theta) / tau + params.rho * (mass.diag * g_vals)
-    A_eta, A_theta = systems
-    eta_next = solve_spd(A_eta, rhs_eta, cfg.cg_tol, cfg.cg_maxiter, x0=eta)
-    theta_next = solve_spd(A_theta, rhs_theta, cfg.cg_tol, cfg.cg_maxiter, x0=theta)
+    (A_eta, diag_eta), (A_theta, diag_theta) = systems
+    levels = ((eta, theta), *state.history[:HISTORY_LEVELS])
+    eta_next = solve_spd(
+        A_eta, rhs_eta, cfg.cg_tol, cfg.cg_maxiter, x0=eta,
+        guess=_predict([level[0] for level in levels]), diag=diag_eta,
+    )
+    theta_next = solve_spd(
+        A_theta, rhs_theta, cfg.cg_tol, cfg.cg_maxiter, x0=theta,
+        guess=_predict([level[1] for level in levels]), diag=diag_theta,
+    )
     _check_finite(state.step_index + 1, eta_next, theta_next)
     next_state = SimState(
         t=state.t + tau,
@@ -237,6 +296,7 @@ def _advance(
         eta=eta_next,
         theta=theta_next,
         step_index=state.step_index + 1,
+        history=levels[:HISTORY_LEVELS],
     )
     return next_state, mass_new, quality
 
@@ -266,11 +326,15 @@ def step(state: SimState, params: KineticsParams, cfg: SolverConfig) -> SimState
 
 def _check_state(state: SimState) -> None:
     n = state.mesh.n_nodes
-    if state.eta.shape != (n,) or state.theta.shape != (n,):
-        raise ValueError(
-            f"field shapes {state.eta.shape}, {state.theta.shape} do not match "
-            f"the mesh ({n} nodes)"
-        )
+    levels = [("field", state.eta, state.theta)]
+    levels += [(f"history level {k}", eta, theta)
+               for k, (eta, theta) in enumerate(state.history)]
+    for label, eta, theta in levels:
+        if np.shape(eta) != (n,) or np.shape(theta) != (n,):
+            raise ValueError(
+                f"{label} shapes {np.shape(eta)}, {np.shape(theta)} do not match "
+                f"the mesh ({n} nodes)"
+            )
 
 
 def run(

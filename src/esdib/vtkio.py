@@ -66,10 +66,24 @@ def write_vtk(path, mesh: SurfaceMesh, point_data=None, title="surface snapshot"
     ----------
     point_data : dict[str, array_like], optional
         Nodal fields, each of length ``n_nodes``, written in dict order.
+    title : str
+        The header's second line.
+
+    Raises
+    ------
+    ValueError
+        A field name that is empty or holds whitespace, or a title that
+        holds a line break: :func:`read_vtk` could not read either back.
+    DataError
+        A field of the wrong shape.
     """
     point_data = {} if point_data is None else point_data
+    if "\n" in title or "\r" in title:
+        raise ValueError(f"VTK title {title!r} must fit on one line")
     n = mesh.n_nodes
     for name, values in point_data.items():
+        if name.split() != [name]:
+            raise ValueError(f"VTK field name {name!r} must be one word without whitespace")
         if np.shape(values) != (n,):
             raise DataError(
                 f"field {name!r} has shape {np.shape(values)}, expected ({n},)"
@@ -124,7 +138,12 @@ def read_vtk(path):
         The file is not in the supported subset of the format.
     """
     with open(path) as f:
-        tokens = f.read().split()
+        lines = f.read().split("\n", 3)
+    # the version line and the free-text title come first, the format third
+    fmt = lines[2].strip() if len(lines) > 2 else "<eof>"
+    if fmt.upper() != "ASCII":
+        raise DataError(f"expected ASCII on line 3 of {path}, got {fmt!r}")
+    tokens = lines[3].split() if len(lines) > 3 else []
     pos = 0
 
     def expect(word: str):
@@ -142,10 +161,6 @@ def read_vtk(path):
         pos += count
         return out
 
-    # header: '# vtk DataFile Version x.x' then title line then ASCII
-    while pos < len(tokens) and tokens[pos].upper() != "ASCII":
-        pos += 1
-    expect("ASCII")
     expect("DATASET")
     expect("UNSTRUCTURED_GRID")
     expect("POINTS")

@@ -188,6 +188,33 @@ class TestPatternReuse:
         with pytest.raises(MeshStructureError, match="node 3"):
             StiffnessPattern(np.array([[0, 1, 2]]), 4)
 
+    @pytest.mark.parametrize("mesh", [generate_square(3.0, 30), generate_icosphere(1.0, 3)],
+                             ids=["sheet", "sphere"])
+    def test_matches_unique_construction_on_permuted_mesh(self, mesh):
+        # relabel the nodes, shuffle the triangles and rotate each triangle's
+        # vertices (winding kept), so entry codes arrive in no useful order
+        rng = np.random.default_rng(11)
+        n = mesh.n_nodes
+        label = rng.permutation(n)
+        tri = label[mesh.triangles][rng.permutation(mesh.n_triangles)]
+        shift = rng.integers(0, 3, size=len(tri))
+        tri = np.take_along_axis(tri, (np.arange(3) + shift[:, None]) % 3, axis=1)
+
+        rows = tri[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
+        cols = tri[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
+        codes, slot = np.unique(rows * n + cols, return_inverse=True)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(codes // n, minlength=n))])
+
+        pattern = StiffnessPattern(tri, n)
+        assert pattern.nnz == codes.size
+        for got, want in ((pattern.slot, slot),
+                          (pattern.indices, (codes % n).astype(np.int32)),
+                          (pattern.indptr, indptr.astype(np.int32)),
+                          (pattern.diagonal_slots,
+                           np.searchsorted(codes, np.arange(n) * (n + 1)))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
 
 class TestDegenerateInput:
     def collapsed_mesh(self):

@@ -1,5 +1,6 @@
 """Linear solver, single steps, and full runs of the time integrator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +15,10 @@ from esdib import (
     SolverConvergenceError,
     assemble_lumped_mass,
     assemble_stiffness,
+    build_domain,
     default_params,
     initial_condition,
+    load_config,
     run,
     solve_spd,
     step,
@@ -83,6 +86,59 @@ class TestSolveSpd:
         x0 = rhs / diag
         x = solve_spd(A, rhs, tol=1e-10, x0=x0)
         assert np.array_equal(x, x0)
+
+    def test_satisfied_warm_start_beats_far_off_guess(self):
+        diag = np.array([2.0, 4.0, 8.0])
+        A = sp.diags(diag).tocsr()
+        rhs = np.array([1.0, 1.0, 1.0])
+        x0 = rhs / diag
+        iterations = []
+        x = solve_spd(A, rhs, tol=1e-10, x0=x0, guess=np.full(3, 1e6),
+                      callback=lambda xk: iterations.append(1))
+        assert np.array_equal(x, x0)
+        assert x is not x0
+        assert iterations == []
+
+    def test_start_with_the_smaller_residual(self):
+        n = 60
+        main = 2.5 * np.ones(n)
+        off = -1.0 * np.ones(n - 1)
+        A = sp.diags([off, main, off], [-1, 0, 1]).tocsr()
+        rng = np.random.default_rng(5)
+        exact = rng.standard_normal(n)
+        rhs = A @ exact
+        near = exact + 1e-6 * rng.standard_normal(n)
+        far = exact + 10.0 * rng.standard_normal(n)
+
+        def solve(**kwargs):
+            iterations = []
+            x = solve_spd(A, rhs, tol=1e-12, callback=lambda xk: iterations.append(1), **kwargs)
+            return x, len(iterations)
+
+        from_far, far_iters = solve(x0=far)
+        from_near, near_iters = solve(x0=near)
+        # a better guess replaces the start, and its residual check is no iteration
+        assert np.array_equal(solve(x0=far, guess=near)[0], from_near)
+        assert solve(x0=far, guess=near)[1] == near_iters < far_iters
+        # a worse guess is ignored, so the start is never worse than x0
+        assert np.array_equal(solve(x0=near, guess=far)[0], from_near)
+        assert solve(x0=near, guess=far)[1] == near_iters
+        assert np.array_equal(solve(guess=near)[0], from_near)
+        # the guess is not written to
+        kept = near.copy()
+        solve(x0=far, guess=near)
+        assert np.array_equal(near, kept)
+
+    def test_given_diagonal_changes_no_bits(self):
+        rng = np.random.default_rng(2)
+        n = 40
+        R = sp.random(n, n, density=0.1, random_state=3)
+        A = (R @ R.T + sp.identity(n) * n).tocsr()
+        rhs = rng.standard_normal(n)
+        x0 = rng.standard_normal(n)
+        plain = solve_spd(A, rhs, tol=1e-12, x0=x0)
+        given = solve_spd(A, rhs, tol=1e-12, x0=x0, diag=A.diagonal().copy())
+        assert np.array_equal(plain, given)
 
     def test_maxiter_exhaustion_reports_residual(self):
         n = 100
@@ -179,6 +235,20 @@ class TestSingleStep:
         with pytest.raises(ValueError):
             step(state, params, SolverConfig())
 
+    def test_history_level_shape_mismatch_rejected(self):
+        mesh = generate_square(1.0, 4)
+        params = default_params(B=30.0, C=3.0, kappa=0.0)
+        n = mesh.n_nodes
+        good = (np.zeros(n), np.zeros(n))
+        for bad in ((np.zeros(n - 1), np.zeros(n)), (np.zeros(n), np.zeros((n, 1)))):
+            state = dataclasses.replace(
+                make_state(mesh, np.zeros(n), np.zeros(n)), history=(good, bad)
+            )
+            with pytest.raises(ValueError, match="history level 1"):
+                step(state, params, SolverConfig())
+            with pytest.raises(ValueError, match="history level 1"):
+                run(state, params, SolverConfig(tau=0.1, T=0.1))
+
     def test_non_finite_initial_field_rejected(self):
         mesh = generate_square(1.0, 4)
         params = default_params(B=30.0, C=3.0, kappa=0.0)
@@ -187,6 +257,72 @@ class TestSingleStep:
         state = make_state(mesh, eta, np.full(mesh.n_nodes, 0.5))
         with pytest.raises(NumericsError):
             step(state, params, SolverConfig())
+
+
+class TestPredictedStart:
+    """Each solve starts from a cubic extrapolation of the last field levels."""
+
+    @staticmethod
+    def preset_sheet(resolution=24):
+        cfg = load_config(preset=1, overrides={"domain.resolution": resolution})
+        mesh = build_domain(cfg.domain)
+        params = cfg.kinetics_params()
+        fields = initial_condition(mesh, params, amplitude=cfg.amplitude, seed=cfg.seed)
+        return make_state(mesh, fields.eta, fields.theta), params, cfg.solver
+
+    def test_step_chain_carries_three_earlier_levels_by_reference(self):
+        state, params, cfg = self.preset_sheet(resolution=8)
+        assert state.history == ()
+        chain = [state]
+        for k in range(1, 7):
+            chain.append(step(chain[-1], params, cfg))
+            levels = chain[-1].history
+            assert len(levels) == min(k, stepper.HISTORY_LEVELS) == min(k, 3)
+            for (eta, theta), earlier in zip(levels, reversed(chain[:-1])):
+                assert eta is earlier.eta
+                assert theta is earlier.theta
+        final = chain[-1]
+        assert final.eta.base is None
+        assert final.theta.base is None
+
+    def test_history_cuts_theta_iterations(self, monkeypatch):
+        state, params, cfg = self.preset_sheet()
+        original = stepper.solve_spd
+        iterations = []
+
+        def counted(A, rhs, *args, **kwargs):
+            count = []
+            kwargs["callback"] = lambda x: count.append(1)
+            result = original(A, rhs, *args, **kwargs)
+            iterations.append(len(count))
+            return result
+
+        monkeypatch.setattr(stepper, "solve_spd", counted)
+
+        def theta_iterations(s):
+            iterations.clear()
+            step(s, params, cfg)
+            return iterations[1]  # eta is solved first, then theta
+
+        for _ in range(3):
+            state = step(state, params, cfg)
+        with_history = without_history = 0
+        for _ in range(20):
+            with_history += theta_iterations(state)
+            without_history += theta_iterations(dataclasses.replace(state, history=()))
+            state = step(state, params, cfg)
+        assert with_history <= 0.7 * without_history
+
+    def test_run_matches_step_chain_bitwise_on_a_moving_surface(self):
+        state, params, cfg = self.preset_sheet(resolution=8)
+        cfg = dataclasses.replace(cfg, T=0.08)
+        final, _ = run(state, params, cfg, stride=3)
+        chained = state
+        for _ in range(cfg.n_steps):
+            chained = step(chained, params, cfg)
+        assert np.array_equal(final.eta, chained.eta)
+        assert np.array_equal(final.theta, chained.theta)
+        assert np.array_equal(final.mesh.nodes, chained.mesh.nodes)
 
 
 class TestConservationAndStability:

@@ -135,6 +135,44 @@ class TestWriteVtk:
             write_vtk(tmp_path / "bad.vtk", small_mesh, point_data={"eta": np.zeros(5)})
 
 
+class TestNamesAndTitles:
+    @pytest.mark.parametrize("name", ["", "my field", "eta\n", "\ttheta", "a\u00a0b"])
+    def test_field_name_must_be_one_word(self, tmp_path, small_mesh, name):
+        path = tmp_path / "mesh.vtk"
+        with pytest.raises(ValueError, match="field name"):
+            write_vtk(path, small_mesh, point_data={name: np.zeros(9)})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("title", ["two\nlines", "carriage\rreturn", "\n"])
+    def test_title_must_fit_on_one_line(self, tmp_path, small_mesh, title):
+        path = tmp_path / "mesh.vtk"
+        with pytest.raises(ValueError, match="title"):
+            write_vtk(path, small_mesh, title=title)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "title", ["ASCII run", "ASCII", "DATASET UNSTRUCTURED_GRID POINTS 1", "", "  spaced  "]
+    )
+    def test_any_one_line_title_round_trips(self, tmp_path, small_mesh, title):
+        path = tmp_path / "mesh.vtk"
+        eta = np.linspace(0.0, 1.0, 9)
+        write_vtk(path, small_mesh, point_data={"eta": eta}, title=title)
+        assert path.read_text().split("\n")[1] == title
+        nodes, triangles, data = read_vtk(path)
+        assert np.array_equal(nodes, small_mesh.nodes)
+        assert np.array_equal(triangles, small_mesh.triangles)
+        assert np.array_equal(data["eta"], eta)
+
+    def test_unusual_legal_field_names_round_trip(self, tmp_path, small_mesh):
+        fields = {"eta_1": np.zeros(9), "ASCII": np.ones(9), "SCALARS.x": np.full(9, 2.0)}
+        path = tmp_path / "mesh.vtk"
+        write_vtk(path, small_mesh, point_data=fields)
+        _, _, data = read_vtk(path)
+        assert list(data) == list(fields)
+        for name, values in fields.items():
+            assert np.array_equal(data[name], values)
+
+
 class TestBytesMatchLineWriter:
     def test_perturbed_sphere_with_awkward_fields(self, tmp_path):
         mesh = perturbed_icosphere()
@@ -286,6 +324,19 @@ class TestReadErrors:
         bad.write_text(path.read_text().replace("POINT_DATA 9", "POINT_DATA 5"))
         with pytest.raises(DataError, match="POINT_DATA 5 for 9 POINTS"):
             read_vtk(bad)
+
+    def test_format_is_read_from_line_three(self, tmp_path):
+        bad = tmp_path / "binary.vtk"
+        bad.write_text(
+            "# vtk DataFile Version 3.0\nASCII\nBINARY\n"
+            "DATASET UNSTRUCTURED_GRID\nPOINTS 0 double\n"
+        )
+        with pytest.raises(DataError, match="line 3"):
+            read_vtk(bad)
+        short = tmp_path / "short.vtk"
+        short.write_text("# vtk DataFile Version 3.0\nASCII\n")
+        with pytest.raises(DataError, match="line 3"):
+            read_vtk(short)
 
     def test_cell_types_count_must_match_cells(self, tmp_path):
         bad = tmp_path / "types.vtk"
