@@ -8,10 +8,11 @@ shares connectivity with the old one and skips re-validation.
 
 All geometric queries (areas, vertex normals, quality metrics, and the lumped
 mass and stiffness) read one per-triangle geometry pass: edge vectors, the
-edge cross product, edge lengths and edge dot products, vectorised over
-triangles with numpy.  The pass is computed once per mesh, on first use, and
-cached on it; node arrays are read-only and node motion makes a new mesh, so
-the cache never goes stale.  Only this module knows the pass's layout.
+edge cross product and edge dot products, vectorised over triangles with
+numpy and summed left to right (:func:`_dot`) on every CPU.  The pass is
+computed once per mesh, on first use, and cached on it; node arrays are
+read-only and node motion makes a new mesh, so the cache never goes stale.
+Only this module knows the pass's layout.
 
 The two finite element operators assembled from the pass are
 
@@ -64,9 +65,9 @@ class SurfaceMesh:
     Raises
     ------
     MeshStructureError
-        Index out of range, an edge traversed twice in the same direction
-        (inconsistent winding or duplicated triangle), or an edge shared by
-        more than two triangles (non-manifold).
+        No triangles, index out of range, an edge traversed twice in the
+        same direction (inconsistent winding or duplicated triangle), or an
+        edge shared by more than two triangles (non-manifold).
     DegenerateGeometryError
         A triangle with zero area (including repeated vertices).
     NumericsError
@@ -86,11 +87,13 @@ class SurfaceMesh:
             raise MeshStructureError(
                 f"triangles must have shape (m, 3), got {triangles.shape}"
             )
+        if triangles.shape[0] == 0:
+            raise MeshStructureError("a surface mesh needs at least one triangle")
         if not np.isfinite(nodes).all():
             bad = int(np.flatnonzero(~np.isfinite(nodes).all(axis=1))[0])
             raise NumericsError(f"node {bad} has non-finite coordinates")
         n = nodes.shape[0]
-        if triangles.size and (triangles.min() < 0 or triangles.max() >= n):
+        if triangles.min() < 0 or triangles.max() >= n:
             bad = int(
                 np.flatnonzero(((triangles < 0) | (triangles >= n)).any(axis=1))[0]
             )
@@ -177,31 +180,30 @@ class _TriangleGeometry:
     * ``cross``, shape (m, 3): ``e2 x (-e1) = (p1 - p0) x (p2 - p0)``, twice
       the area times the unit normal;
     * ``doubled``, shape (m,): the norm of ``cross``, twice the area;
-    * ``lengths``, shape (3, m): ``|e0|, |e1|, |e2|``;
-    * ``dots``, shape (6, m): ``e0.e0, e0.e1, e0.e2, e1.e1, e1.e2, e2.e2``.
+    * ``dots``, shape (6, m): ``e0.e0, e0.e1, e0.e2, e1.e1, e1.e2, e2.e2``
+      by :func:`_dot`; the squared edge lengths are ``e0.e0, e1.e1, e2.e2``.
 
     All arrays are read-only.
     """
 
-    __slots__ = ("cross", "doubled", "lengths", "dots")
+    __slots__ = ("cross", "doubled", "dots")
 
-    def __init__(self, cross, doubled, lengths, dots):
+    def __init__(self, cross, doubled, dots):
         self.cross = cross
         self.doubled = doubled
-        self.lengths = lengths
         self.dots = dots
-        for arr in (cross, doubled, lengths, dots):
+        for arr in (cross, doubled, dots):
             arr.setflags(write=False)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (k, 3) array.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dot products of two (k, 3) arrays, summed left to right on every CPU."""
+    return (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
 
-    Same bits as ``np.linalg.norm(v, axis=1)``, which squares and then sums
-    the three components left to right, without its per-row reduction loop.
-    """
-    sq = v * v
-    return np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Row norms of a (k, 3) array, the bits of ``np.linalg.norm(v, axis=1)``."""
+    return np.sqrt(_dot(v, v))
 
 
 def _edges(nodes: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -214,14 +216,9 @@ def _geometry_pass(nodes: np.ndarray, triangles: np.ndarray) -> _TriangleGeometr
     """Compute the per-triangle geometry of ``nodes[triangles]`` in one pass."""
     e0, e1, e2 = _edges(nodes, triangles)
     cross = np.cross(e2, -e1)
-    lengths = np.stack([_row_norms(e0), _row_norms(e1), _row_norms(e2)])
-    dots = np.stack(
-        [
-            np.einsum("ij,ij->i", a, b)
-            for a, b in ((e0, e0), (e0, e1), (e0, e2), (e1, e1), (e1, e2), (e2, e2))
-        ]
-    )
-    return _TriangleGeometry(cross, _row_norms(cross), lengths, dots)
+    pairs = ((e0, e0), (e0, e1), (e0, e2), (e1, e1), (e1, e2), (e2, e2))
+    dots = np.stack([_dot(a, b) for a, b in pairs])
+    return _TriangleGeometry(cross, _row_norms(cross), dots)
 
 
 def _reject_zero_area(areas: np.ndarray) -> None:
@@ -325,11 +322,10 @@ class StiffnessPattern:
             [[0], np.cumsum(np.bincount(urows, minlength=n_nodes))]
         ).astype(np.int32)
         self.slot = slot
-        diag = np.searchsorted(unique_codes, np.arange(n_nodes) * (n_nodes + 1))
-        ok = (diag < self.nnz) & (
-            unique_codes[np.minimum(diag, self.nnz - 1)]
-            == np.arange(n_nodes) * (n_nodes + 1)
-        )
+        wanted = np.arange(n_nodes) * (n_nodes + 1)
+        diag = np.searchsorted(unique_codes, wanted)
+        ok = diag < self.nnz
+        ok[ok] = unique_codes[diag[ok]] == wanted[ok]
         if not ok.all():
             bad = int(np.flatnonzero(~ok)[0])
             raise MeshStructureError(f"node {bad} belongs to no triangle")
@@ -458,8 +454,8 @@ def mesh_quality(mesh: SurfaceMesh) -> MeshQuality:
     """
     geometry = _geometry(mesh)
     areas = 0.5 * geometry.doubled
-    l0, l1, l2 = geometry.lengths
-    _, d01, d02, _, d12, _ = geometry.dots
+    d00, d01, d02, d11, d12, d22 = geometry.dots
+    l0, l1, l2 = np.sqrt(d00), np.sqrt(d11), np.sqrt(d22)
     longest = np.maximum(np.maximum(l0, l1), l2)
     perimeter = (l0 + l1) + l2  # left to right, the order of numpy's row sum
     with np.errstate(divide="ignore", invalid="ignore"):

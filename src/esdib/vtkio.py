@@ -135,7 +135,9 @@ def read_vtk(path):
     Raises
     ------
     DataError
-        The file is not in the supported subset of the format.
+        The file is not in the supported subset of the format, or holds a
+        count that is not a whole number, a value that is not a number, or
+        a cell index outside ``[0, n_points)``.
     """
     with open(path) as f:
         lines = f.read().split("\n", 3)
@@ -161,30 +163,47 @@ def read_vtk(path):
         pos += count
         return out
 
+    def take_count(section: str) -> int:
+        word = take(1)[0]
+        if not word.isdecimal():
+            raise DataError(f"{section} count {word!r} in {path} is not a whole number")
+        return int(word)
+
+    def take_numbers(count: int, dtype) -> np.ndarray:
+        words = take(count)
+        try:
+            return np.array(words, dtype=dtype)
+        except (ValueError, OverflowError):
+            raise DataError(f"non-numeric or out-of-range value in {path}") from None
+
     expect("DATASET")
     expect("UNSTRUCTURED_GRID")
     expect("POINTS")
-    n = int(take(1)[0])
+    n = take_count("POINTS")
     take(1)  # dtype
-    nodes = np.array(take(3 * n), dtype=np.float64).reshape(n, 3)
+    nodes = take_numbers(3 * n, np.float64).reshape(n, 3)
     expect("CELLS")
-    m = int(take(1)[0])
+    m = take_count("CELLS")
     take(1)  # total index count
-    cells = np.array(take(4 * m), dtype=np.int64).reshape(m, 4)
+    cells = take_numbers(4 * m, np.int64).reshape(m, 4)
     if not (cells[:, 0] == 3).all():
         raise DataError(f"non-triangle cell in {path}")
     triangles = cells[:, 1:]
+    outside = ((triangles < 0) | (triangles >= n)).any(axis=1)
+    if outside.any():
+        bad = int(np.flatnonzero(outside)[0])
+        raise DataError(f"cell {bad} in {path} references a point outside [0, {n})")
     expect("CELL_TYPES")
-    type_count = int(take(1)[0])
+    type_count = take_count("CELL_TYPES")
     if type_count != m:
         raise DataError(f"{type_count} CELL_TYPES for {m} CELLS in {path}")
-    types = np.array(take(type_count), dtype=np.int64)
+    types = take_numbers(type_count, np.int64)
     if not (types == _TRIANGLE_CELL_TYPE).all():
         raise DataError(f"unsupported cell type in {path}")
     point_data: dict[str, np.ndarray] = {}
     if pos < len(tokens) and tokens[pos].upper() == "POINT_DATA":
         pos += 1
-        count = int(take(1)[0])
+        count = take_count("POINT_DATA")
         if count != n:
             raise DataError(f"POINT_DATA {count} for {n} POINTS in {path}")
         while pos < len(tokens) and tokens[pos].upper() == "SCALARS":
@@ -193,5 +212,5 @@ def read_vtk(path):
             take(2)  # dtype and component count
             expect("LOOKUP_TABLE")
             take(1)  # table name
-            point_data[name] = np.array(take(count), dtype=np.float64)
+            point_data[name] = take_numbers(count, np.float64)
     return nodes, triangles, point_data

@@ -188,6 +188,10 @@ class TestPatternReuse:
         with pytest.raises(MeshStructureError, match="node 3"):
             StiffnessPattern(np.array([[0, 1, 2]]), 4)
 
+    def test_no_triangles_names_node_0(self):
+        with pytest.raises(MeshStructureError, match="node 0 belongs to no triangle"):
+            StiffnessPattern(np.zeros((0, 3), dtype=int), 3)
+
     @pytest.mark.parametrize("mesh", [generate_square(3.0, 30), generate_icosphere(1.0, 3)],
                              ids=["sheet", "sphere"])
     def test_matches_unique_construction_on_permuted_mesh(self, mesh):
@@ -255,12 +259,16 @@ def direct_stiffness(mesh, pattern):
     e2 = p[:, 1] - p[:, 0]
     doubled = np.linalg.norm(np.cross(e2, -e1), axis=1)
     w = 1.0 / (2.0 * doubled)
-    d00 = np.einsum("ij,ij->i", e0, e0) * w
-    d01 = np.einsum("ij,ij->i", e0, e1) * w
-    d02 = np.einsum("ij,ij->i", e0, e2) * w
-    d11 = np.einsum("ij,ij->i", e1, e1) * w
-    d12 = np.einsum("ij,ij->i", e1, e2) * w
-    d22 = np.einsum("ij,ij->i", e2, e2) * w
+
+    def dot(a, b):  # components summed left to right
+        return (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
+
+    d00 = dot(e0, e0) * w
+    d01 = dot(e0, e1) * w
+    d02 = dot(e0, e2) * w
+    d11 = dot(e1, e1) * w
+    d12 = dot(e1, e2) * w
+    d22 = dot(e2, e2) * w
     vals = np.stack([d00, d01, d02, d01, d11, d12, d02, d12, d22], axis=1)
     return np.bincount(pattern.slot, weights=vals.ravel(), minlength=pattern.nnz)
 

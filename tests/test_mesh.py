@@ -30,6 +30,11 @@ class TestConstruction:
         assert not mesh.nodes.flags.writeable
         assert not mesh.triangles.flags.writeable
 
+    @pytest.mark.parametrize("n_nodes", [0, 3])
+    def test_no_triangles_rejected(self, n_nodes):
+        with pytest.raises(MeshStructureError, match="at least one triangle"):
+            SurfaceMesh(np.zeros((n_nodes, 3)), np.zeros((0, 3), dtype=int))
+
     def test_index_out_of_range_rejected(self):
         with pytest.raises(MeshStructureError, match="outside"):
             SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 3]])
@@ -272,10 +277,14 @@ def direct_mesh_quality(mesh):
     lengths = np.stack([l0, l1, l2], axis=1)
     longest = lengths.max(axis=1)
     perimeter = lengths.sum(axis=1)
+
+    def dot(a, b):  # components summed left to right
+        return (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos0 = -np.einsum("ij,ij->i", e1, e2) / (l1 * l2)
-        cos1 = -np.einsum("ij,ij->i", e2, e0) / (l2 * l0)
-        cos2 = -np.einsum("ij,ij->i", e0, e1) / (l0 * l1)
+        cos0 = -dot(e1, e2) / (l1 * l2)
+        cos1 = -dot(e2, e0) / (l2 * l0)
+        cos2 = -dot(e0, e1) / (l0 * l1)
         cosines = np.clip(np.stack([cos0, cos1, cos2], axis=1), -1.0, 1.0)
         angles = np.degrees(np.arccos(cosines))
         aspect = longest * perimeter / (4.0 * np.sqrt(3.0) * areas)

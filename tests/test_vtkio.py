@@ -348,3 +348,33 @@ class TestReadErrors:
         )
         with pytest.raises(DataError, match="0 CELL_TYPES for 1 CELLS"):
             read_vtk(bad)
+
+    ONE_TRIANGLE = (
+        "# vtk DataFile Version 3.0\ntitle\nASCII\n"
+        "DATASET UNSTRUCTURED_GRID\nPOINTS 3 double\n"
+        "0 0 0\n1 0 0\n0 1 0\n"
+        "CELLS 1 4\n3 0 1 2\nCELL_TYPES 1\n5\n"
+    )
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("POINTS 3", "POINTS abc", "POINTS count 'abc'"),
+            ("POINTS 3", "POINTS -1", "POINTS count '-1'"),
+            ("CELLS 1", "CELLS 1.0", "CELLS count '1.0'"),
+            ("1 0 0", "x 0 0", "non-numeric"),
+            ("3 0 1 2", "3 0 1 x", "non-numeric"),
+            ("3 0 1 2", "3 0 1 99999999999999999999", "out-of-range"),
+            ("3 0 1 2", "3 0 1 7", r"cell 0 .* outside \[0, 3\)"),
+            ("3 0 1 2", "3 0 -1 2", r"cell 0 .* outside \[0, 3\)"),
+        ],
+        ids=["text count", "negative count", "fractional count", "coordinate",
+             "index", "huge index", "index past the end", "negative index"],
+    )
+    def test_malformed_numbers(self, tmp_path, old, new, message):
+        path = tmp_path / "one.vtk"
+        path.write_text(self.ONE_TRIANGLE)
+        read_vtk(path)  # the unmodified file reads
+        path.write_text(self.ONE_TRIANGLE.replace(old, new, 1))
+        with pytest.raises(DataError, match=message):
+            read_vtk(path)
