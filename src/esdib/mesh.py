@@ -22,12 +22,12 @@ The two finite element operators assembled from the pass are
   ``K_ij = dot(e_i, e_j) / (4 A)`` where ``e_i`` is the edge opposite vertex
   ``i`` (the classic cotangent weights, written via in-plane P1 gradients).
 
-Connectivity never changes during a run, so the stiffness sparsity pattern is
-built once (:class:`StiffnessPattern`) and reused for every reassembly as the
-geometry moves.  Values are accumulated with ``np.bincount`` in a fixed entry
-order, which makes reassembly deterministic and keeps the matrix exactly
-symmetric: the local 3 x 3 blocks are symmetric by construction and mirrored
-slots receive their contributions in the same order.
+Connectivity never changes during a run, so its sparse structure is built
+once (:class:`StiffnessPattern`) and reused as the geometry moves.  Every sum
+from triangles to nodes (normals, lumped mass, stiffness values) is one
+product with a CSR matrix of ones, adding each row's terms in triangle order:
+the sums are deterministic, and the stiffness is exactly symmetric because
+mirrored entries read the same dot products.
 """
 
 from __future__ import annotations
@@ -261,38 +261,57 @@ class LumpedMass:
         return float(self.diag.sum())
 
 
-def assemble_lumped_mass(mesh: SurfaceMesh) -> LumpedMass:
-    """Lumped mass diagonal: each triangle spreads a third of its area to its nodes."""
+def assemble_lumped_mass(
+    mesh: SurfaceMesh, pattern: StiffnessPattern | None = None
+) -> LumpedMass:
+    """Lumped mass diagonal: each triangle spreads a third of its area to its nodes.
+
+    ``pattern`` is built when omitted; it raises :class:`MeshStructureError`
+    for a node in no triangle, whose zero mass would make the systems singular.
+    """
+    if pattern is None:
+        pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
     areas = triangle_areas(mesh)
     _reject_zero_area(areas)
-    thirds = np.repeat(areas / 3.0, 3)
-    diag = np.bincount(mesh.triangles.ravel(), weights=thirds, minlength=mesh.n_nodes)
-    return LumpedMass(diag=diag)
+    return LumpedMass(diag=pattern.incidence @ (areas / 3.0))
+
+
+#: The row of ``_TriangleGeometry.dots`` in entry ``3 a + b`` of a local block.
+_BLOCK_DOT = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5], dtype=np.int32)
 
 
 class StiffnessPattern:
-    """Static CSR sparsity of the stiffness matrix for a fixed connectivity.
+    """Sparse structure of a fixed connectivity, built once and reused.
 
     Attributes
     ----------
     indices, indptr : ndarray
-        CSR structure shared by every matrix assembled from this pattern.
-    slot : ndarray of shape (9 * n_triangles,)
-        Position in the CSR data array of each per-triangle entry, in the
-        fixed order (i,i), (i,j), (i,k), (j,i), ... of the local block.
+        CSR structure shared by every stiffness matrix assembled from it.
     diagonal_slots : ndarray of shape (n_nodes,)
         Position of each (i, i) entry in the data array.
+    incidence : csr_matrix of shape (n_nodes, n_triangles)
+        Ones where a node belongs to a triangle: ``incidence @ x`` sums a
+        per-triangle ``x`` onto the nodes.
+    scatter : csr_matrix of shape (nnz, 6 * n_triangles)
+        Ones where dot product ``j`` of triangle ``t`` (column ``6 t + j``)
+        enters a stiffness entry: ``scatter @ x`` sums the triangle-major
+        dot products over 4 A into the data array.
+
+    Both list each row's columns in triangle order (see the module notes).
+    A node in no triangle raises :class:`MeshStructureError`.
     """
 
-    __slots__ = ("n_nodes", "nnz", "indices", "indptr", "slot", "diagonal_slots")
+    __slots__ = (
+        "n_nodes", "nnz", "indices", "indptr", "diagonal_slots", "incidence", "scatter"
+    )
 
     def __init__(self, triangles: np.ndarray, n_nodes: int):
-        # The sorted distinct entry codes ``row * n_nodes + col`` and each
-        # entry's rank among them, as ``np.unique(codes, return_inverse=True)``
-        # gives them, built with one code array alive instead of three and
-        # every temporary dropped as soon as it is used.
         tri = np.asarray(triangles, dtype=np.int64)
-        codes = np.empty((tri.shape[0], 9), dtype=np.int64)
+        m = tri.shape[0]
+        # The sorted entry codes ``row * n_nodes + col``, built with one code
+        # array alive instead of three and every temporary dropped as soon as
+        # it is used.
+        codes = np.empty((m, 9), dtype=np.int64)
         for a in range(3):
             row = tri[:, a] * n_nodes
             for b in range(3):
@@ -306,30 +325,29 @@ class StiffnessPattern:
         np.not_equal(codes[1:], codes[:-1], out=first[1:])
         unique_codes = codes[first]
         del codes
-        rank = np.cumsum(first)
+        scatter_ptr = np.append(np.flatnonzero(first), first.size).astype(np.int32)
         del first
-        rank -= 1
-        slot = np.empty(rank.size, dtype=np.intp)
-        slot[order] = rank
-        del order, rank
-        urows = unique_codes // n_nodes
-        ucols = unique_codes % n_nodes
+        # Entry 3 a + b of triangle t enters column 6 t + _BLOCK_DOT[3 a + b],
+        # and the stable sort keeps each code's entries in triangle order.
+        cols = (6 * np.arange(m, dtype=np.int32)[:, None] + _BLOCK_DOT).ravel()[order]
+        del order
+        # the transpose of the triangle-by-node matrix, whose conversion to
+        # CSR lists each node's triangles in triangle order
+        self.incidence = csr_matrix(
+            (np.ones(3 * m), tri.ravel(), np.arange(0, 3 * m + 1, 3)), shape=(m, n_nodes)
+        ).T.tocsr()
+        per_node = np.diff(self.incidence.indptr)
+        if (per_node == 0).any():
+            bad = int(np.argmin(per_node))
+            raise MeshStructureError(f"node {bad} belongs to no triangle")
 
         self.n_nodes = int(n_nodes)
         self.nnz = int(unique_codes.size)
-        self.indices = ucols.astype(np.int32)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(urows, minlength=n_nodes))]
-        ).astype(np.int32)
-        self.slot = slot
-        wanted = np.arange(n_nodes) * (n_nodes + 1)
-        diag = np.searchsorted(unique_codes, wanted)
-        ok = diag < self.nnz
-        ok[ok] = unique_codes[diag[ok]] == wanted[ok]
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
-            raise MeshStructureError(f"node {bad} belongs to no triangle")
-        self.diagonal_slots = diag
+        self.indices = (unique_codes % n_nodes).astype(np.int32)
+        rows = np.arange(n_nodes + 1) * n_nodes
+        self.indptr = np.searchsorted(unique_codes, rows).astype(np.int32)
+        self.diagonal_slots = np.searchsorted(unique_codes, rows[:-1] + np.arange(n_nodes))
+        self.scatter = csr_matrix((np.ones(9 * m), cols, scatter_ptr), shape=(self.nnz, 6 * m))
 
 
 def assemble_stiffness(
@@ -357,22 +375,22 @@ def assemble_stiffness(
     doubled = geometry.doubled  # 2 * area
     _reject_zero_area(doubled)
     w = 1.0 / (2.0 * doubled)  # 1 / (4 A)
-    d00, d01, d02, d11, d12, d22 = geometry.dots * w
-    # local block mirrored explicitly so symmetry is exact in floating point
-    vals = np.stack([d00, d01, d02, d01, d11, d12, d02, d12, d22], axis=1)
-    data = np.bincount(pattern.slot, weights=vals.ravel(), minlength=pattern.nnz)
+    data = pattern.scatter @ (geometry.dots * w).ravel(order="F")  # triangle-major
     return csr_matrix(
         (data, pattern.indices, pattern.indptr),
         shape=(pattern.n_nodes, pattern.n_nodes),
     )
 
 
-def compute_node_normals(mesh: SurfaceMesh) -> np.ndarray:
+def compute_node_normals(
+    mesh: SurfaceMesh, pattern: StiffnessPattern | None = None
+) -> np.ndarray:
     """Outward unit normal at each node, area-weighted over incident triangles.
 
     The per-triangle contribution is the cross product of two edges (twice
     the area times the unit normal), so larger triangles weigh more.  The
-    accumulated vector is normalised per node.
+    accumulated vector is normalised per node.  ``pattern`` is built when
+    omitted, as in :func:`assemble_lumped_mass`.
 
     Returns
     -------
@@ -382,24 +400,16 @@ def compute_node_normals(mesh: SurfaceMesh) -> np.ndarray:
     Raises
     ------
     MeshStructureError
-        A node belongs to no triangle (its normal is undefined).
+        A node belongs to no triangle (raised by :class:`StiffnessPattern`).
     DegenerateGeometryError
         The accumulated vector of some node vanishes (the incident
         triangles fold over each other).
     """
-    n = mesh.n_nodes
-    idx = mesh.triangles.ravel()
-    cross = _geometry(mesh).cross
-    accum = np.empty((n, 3))
-    for c in range(3):
-        accum[:, c] = np.bincount(idx, weights=np.repeat(cross[:, c], 3), minlength=n)
+    if pattern is None:
+        pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
+    accum = pattern.incidence @ _geometry(mesh).cross
     norms = _row_norms(accum)
     if norms.min() == 0.0:
-        # a node outside every triangle accumulates nothing: report it first
-        counts = np.bincount(idx, minlength=n)
-        if counts.min() == 0:
-            bad = int(np.flatnonzero(counts == 0)[0])
-            raise MeshStructureError(f"node {bad} belongs to no triangle")
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateGeometryError(
             f"node {bad} has a vanishing normal (folded incident triangles)"
@@ -459,11 +469,12 @@ def mesh_quality(mesh: SurfaceMesh) -> MeshQuality:
     longest = np.maximum(np.maximum(l0, l1), l2)
     perimeter = (l0 + l1) + l2  # left to right, the order of numpy's row sum
     with np.errstate(divide="ignore", invalid="ignore"):
-        # angle at vertex i sits between the two edges that are not opposite it
-        cosines = np.stack([-d12 / (l1 * l2), -d02 / (l2 * l0), -d01 / (l0 * l1)])
-        angles = np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
+        # angle at vertex i sits between the two edges that are not opposite
+        # it; the smallest angle has the largest cosine, as arccos is monotone
+        largest = np.maximum(-d12 / (l1 * l2), -d02 / (l2 * l0))
+        largest = np.maximum(largest, -d01 / (l0 * l1))
+        smallest = np.degrees(np.arccos(np.clip(largest, -1.0, 1.0)))
         aspect = longest * perimeter / (4.0 * np.sqrt(3.0) * areas)
-    smallest = np.minimum(np.minimum(angles[0], angles[1]), angles[2])
     min_angles = np.where(areas > 0.0, smallest, 0.0)
     aspect = np.where(areas > 0.0, aspect, np.inf)
     return MeshQuality(

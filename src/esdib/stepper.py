@@ -256,7 +256,7 @@ def _advance(
     """
     tau = cfg.tau
     if params.kappa != 0.0:
-        normals = compute_node_normals(state.mesh)
+        normals = compute_node_normals(state.mesh, pattern)
         displacement = (tau * params.kappa) * state.eta[:, None] * normals
         mesh_new = displace_nodes(state.mesh, displacement)
         quality = mesh_quality(mesh_new)
@@ -268,7 +268,7 @@ def _advance(
                 step_index=state.step_index + 1,
                 time=state.t + tau,
             )
-        mass_new = assemble_lumped_mass(mesh_new)
+        mass_new = assemble_lumped_mass(mesh_new, pattern)
     else:
         mesh_new, mass_new, quality = state.mesh, mass, None
     if systems is None:
@@ -318,7 +318,7 @@ def step(state: SimState, params: KineticsParams, cfg: SolverConfig) -> SimState
     """
     _check_state(state)
     pattern = StiffnessPattern(state.mesh.triangles, state.mesh.n_nodes)
-    mass = assemble_lumped_mass(state.mesh)
+    mass = assemble_lumped_mass(state.mesh, pattern)
     min_area = _resolve_min_area(cfg, state.mesh, mass)
     next_state, _, _ = _advance(state, params, cfg, pattern, mass, min_area)
     return next_state
@@ -369,7 +369,7 @@ def run(
         return initial, series
 
     pattern = StiffnessPattern(initial.mesh.triangles, initial.mesh.n_nodes)
-    mass = assemble_lumped_mass(initial.mesh)
+    mass = assemble_lumped_mass(initial.mesh, pattern)
     min_area = _resolve_min_area(cfg, initial.mesh, mass)
     quality = mesh_quality(initial.mesh)
     systems = None

@@ -135,9 +135,9 @@ def read_vtk(path):
     Raises
     ------
     DataError
-        The file is not in the supported subset of the format, or holds a
-        count that is not a whole number, a value that is not a number, or
-        a cell index outside ``[0, n_points)``.
+        The file is not in the supported subset (one-component fields, nothing
+        after the last one), or holds a count that is not a whole number, a
+        value that is not a number, or a cell index outside ``[0, n_points)``.
     """
     with open(path) as f:
         lines = f.read().split("\n", 3)
@@ -209,8 +209,11 @@ def read_vtk(path):
         while pos < len(tokens) and tokens[pos].upper() == "SCALARS":
             pos += 1
             name = take(1)[0]
-            take(2)  # dtype and component count
+            if take(2)[1] != "1":  # the dtype, then the component count
+                raise DataError(f"field {name!r} in {path} has other than one component")
             expect("LOOKUP_TABLE")
             take(1)  # table name
             point_data[name] = take_numbers(count, np.float64)
+    if pos < len(tokens):
+        raise DataError(f"unexpected {tokens[pos]!r} after the last section of {path}")
     return nodes, triangles, point_data

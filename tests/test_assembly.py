@@ -12,6 +12,7 @@ from esdib import (
     SurfaceMesh,
     assemble_lumped_mass,
     assemble_stiffness,
+    compute_node_normals,
     displace_nodes,
     surface_area,
 )
@@ -166,6 +167,10 @@ class TestPatternReuse:
         assert np.array_equal(K_pat.data, K_auto.data)
         assert np.array_equal(K_pat.indices, K_auto.indices)
         assert np.array_equal(K_pat.indptr, K_auto.indptr)
+        assert np.array_equal(assemble_lumped_mass(bumpy_square, pattern).diag,
+                              assemble_lumped_mass(bumpy_square).diag)
+        assert np.array_equal(compute_node_normals(bumpy_square, pattern),
+                              compute_node_normals(bumpy_square))
 
     def test_reassembly_after_motion_keeps_structure(self, bumpy_square):
         pattern = StiffnessPattern(bumpy_square.triangles, bumpy_square.n_nodes)
@@ -188,6 +193,12 @@ class TestPatternReuse:
         with pytest.raises(MeshStructureError, match="node 3"):
             StiffnessPattern(np.array([[0, 1, 2]]), 4)
 
+    def test_mass_rejects_isolated_node(self):
+        # a node without triangles would get zero mass and a singular system
+        mesh = SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]], [[0, 1, 2]])
+        with pytest.raises(MeshStructureError, match="node 3 belongs to no triangle"):
+            assemble_lumped_mass(mesh)
+
     def test_no_triangles_names_node_0(self):
         with pytest.raises(MeshStructureError, match="node 0 belongs to no triangle"):
             StiffnessPattern(np.zeros((0, 3), dtype=int), 3)
@@ -208,10 +219,17 @@ class TestPatternReuse:
         cols = tri[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
         codes, slot = np.unique(rows * n + cols, return_inverse=True)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(codes // n, minlength=n))])
+        # entry 3 a + b of triangle t reads dot product dot[3 a + b] of it,
+        # column 6 t + dot[3 a + b]; each row lists its entries in entry order
+        dot = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+        entry = np.argsort(slot, kind="stable")
+        scatter_indices = 6 * (entry // 9) + dot[entry % 9]
+        scatter_indptr = np.concatenate([[0], np.cumsum(np.bincount(slot))])
 
         pattern = StiffnessPattern(tri, n)
         assert pattern.nnz == codes.size
-        for got, want in ((pattern.slot, slot),
+        for got, want in ((pattern.scatter.indices, scatter_indices.astype(np.int32)),
+                          (pattern.scatter.indptr, scatter_indptr.astype(np.int32)),
                           (pattern.indices, (codes % n).astype(np.int32)),
                           (pattern.indptr, indptr.astype(np.int32)),
                           (pattern.diagonal_slots,
@@ -253,6 +271,10 @@ def direct_lumped_mass(mesh):
 
 
 def direct_stiffness(mesh, pattern):
+    tri = mesh.triangles
+    rows = tri[:, [0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
+    cols = tri[:, [0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
+    _, slot = np.unique(rows * mesh.n_nodes + cols, return_inverse=True)
     p = mesh.nodes[mesh.triangles]
     e0 = p[:, 2] - p[:, 1]
     e1 = p[:, 0] - p[:, 2]
@@ -270,7 +292,7 @@ def direct_stiffness(mesh, pattern):
     d12 = dot(e1, e2) * w
     d22 = dot(e2, e2) * w
     vals = np.stack([d00, d01, d02, d01, d11, d12, d02, d12, d22], axis=1)
-    return np.bincount(pattern.slot, weights=vals.ravel(), minlength=pattern.nnz)
+    return np.bincount(slot, weights=vals.ravel(), minlength=pattern.nnz)
 
 
 class TestCachedGeometry:

@@ -312,7 +312,16 @@ class TestCachedGeometry:
         # reaches the compared fields, not only the worst one of a mesh
         rng = np.random.default_rng(11)
         scales = rng.uniform(1e-3, 1e3, (300, 1, 1))
-        for points in scales * rng.standard_normal((300, 3, 3)):
+        shapeless = scales * rng.standard_normal((300, 3, 3))
+        # needles (one angle below 1e-4 degrees) and near-flat triangles (one
+        # angle near 180 degrees), where the rounding of arccos matters most
+        thin = np.zeros((200, 3, 3))
+        thin[:, 1, 0] = 1.0
+        thin[:, 2, 0] = np.where(np.arange(200) % 2, 1.0, rng.uniform(0.05, 0.95, 200))
+        thin[:, 2, 1] = 10.0 ** rng.uniform(-10.0, -7.0, 200)
+        rotations = np.linalg.qr(rng.standard_normal((200, 3, 3)))[0]
+        thin = rng.uniform(1e-3, 1e3, (200, 1, 1)) * (thin @ rotations)
+        for points in np.concatenate([shapeless, thin]):
             mesh = single_triangle(points)
             assert mesh_quality(mesh) == direct_mesh_quality(mesh)
 

@@ -460,6 +460,34 @@ class TestRun:
         assert len(series.samples) == cfg.n_steps + 1
         assert len(quality) == cfg.n_steps + 1
 
+    def test_moving_run_builds_one_pattern_and_passes_it_everywhere(self, monkeypatch):
+        # a call left to build its own pattern would cost a rebuild per step,
+        # which no output shows
+        built, received = [], []
+        build = stepper.StiffnessPattern
+
+        def building(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(stepper, "StiffnessPattern", building)
+        for name in ("compute_node_normals", "assemble_lumped_mass", "assemble_stiffness"):
+            def receiving(mesh, pattern=None, name=name, original=getattr(stepper, name)):
+                received.append((name, pattern))
+                return original(mesh, pattern)
+
+            monkeypatch.setattr(stepper, name, receiving)
+        moving = default_params(B=30.0, C=3.0, rho=2.0, kappa=0.2)
+        cfg = SolverConfig(tau=1e-2, T=0.1)
+        final, _ = run(self.state, moving, cfg, stride=1)
+        assert final.step_index == cfg.n_steps
+        assert len(built) == 1
+        names = [name for name, _ in received]
+        assert names.count("compute_node_normals") == cfg.n_steps
+        assert names.count("assemble_lumped_mass") == cfg.n_steps + 1
+        assert names.count("assemble_stiffness") == cfg.n_steps
+        assert all(pattern is built[0] for _, pattern in received)
+
     @pytest.mark.parametrize("stride", [1, 7])
     def test_moving_run_computes_one_geometry_pass_per_step(self, monkeypatch, stride):
         # the pass of each moved mesh serves its quality check, its mass and

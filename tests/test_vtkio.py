@@ -378,3 +378,22 @@ class TestReadErrors:
         path.write_text(self.ONE_TRIANGLE.replace(old, new, 1))
         with pytest.raises(DataError, match=message):
             read_vtk(path)
+
+    def test_vector_field_rejected(self, tmp_path):
+        path = tmp_path / "vector.vtk"
+        field = "POINT_DATA 3\nSCALARS v double {}\nLOOKUP_TABLE default\n{}"
+        path.write_text(self.ONE_TRIANGLE + field.format(1, "1 2 3\n"))
+        assert np.array_equal(read_vtk(path)[2]["v"], [1.0, 2.0, 3.0])
+        path.write_text(self.ONE_TRIANGLE + field.format(3, "1 2 3\n4 5 6\n7 8 9\n"))
+        with pytest.raises(DataError, match="'v' .* has other than one component"):
+            read_vtk(path)
+
+    def test_trailing_section_rejected(self, tmp_path):
+        path = tmp_path / "trailing.vtk"
+        path.write_text(
+            self.ONE_TRIANGLE
+            + "POINT_DATA 3\nSCALARS v double 1\nLOOKUP_TABLE default\n1 2 3\n"
+            + "VECTORS w double\n1 0 0\n0 1 0\n0 0 1\n"
+        )
+        with pytest.raises(DataError, match="unexpected 'VECTORS' after the last section"):
+            read_vtk(path)
