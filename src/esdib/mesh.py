@@ -9,8 +9,10 @@ shares connectivity with the old one and skips re-validation.
 All geometric queries (areas, vertex normals, quality metrics, and the lumped
 mass and stiffness) read one per-triangle geometry pass: edge vectors, the
 edge cross product and edge dot products, vectorised over triangles with
-numpy and summed left to right (:func:`_dot`) on every CPU.  The pass is
-computed once per mesh, on first use, and cached on it; node arrays are
+numpy and summed left to right (:func:`_dot`) on every CPU.  The pass works
+component-major: each edge is three contiguous (m,) arrays gathered from one
+coordinate column, and the cross product is written out in components.  It
+is computed once per mesh, on first use, and cached on it; node arrays are
 read-only and node motion makes a new mesh, so the cache never goes stale.
 Only this module knows the pass's layout.
 
@@ -25,9 +27,13 @@ The two finite element operators assembled from the pass are
 Connectivity never changes during a run, so its sparse structure is built
 once (:class:`StiffnessPattern`) and reused as the geometry moves.  Every sum
 from triangles to nodes (normals, lumped mass, stiffness values) is one
-product with a CSR matrix of ones, adding each row's terms in triangle order:
-the sums are deterministic, and the stiffness is exactly symmetric because
-mirrored entries read the same dot products.
+product with a CSR matrix of ones.  scipy's CSR product adds each row's terms
+from 0 in the order they are stored, whatever their column numbers, and every
+row stores its terms in triangle order: the sums are deterministic, and the
+stiffness is exactly symmetric because mirrored entries read the same dot
+products.  The stiffness columns number the dot products dot-major
+(``j m + t``, the C order of the (6, m) array) while each row stays stored in
+triangle order, so its indices are unsorted and must stay so.
 """
 
 from __future__ import annotations
@@ -103,7 +109,7 @@ class SurfaceMesh:
 
         # twice the areas as the geometry pass computes them, without the whole pass
         _, e1, e2 = _edges(nodes, triangles)
-        _reject_zero_area(_row_norms(np.cross(e2, -e1)))
+        _reject_zero_area(_row_norms(_cross(e1, e2)))
 
         self.nodes = nodes
         self.triangles = triangles
@@ -196,29 +202,62 @@ class _TriangleGeometry:
             arr.setflags(write=False)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row dot products of two (k, 3) arrays, summed left to right on every CPU."""
-    return (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
+def _dot(a, b) -> np.ndarray:
+    """Dot products of vectors given by their components, summed left to right."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Row norms of a (k, 3) array, the bits of ``np.linalg.norm(v, axis=1)``."""
+def _row_norms(v) -> np.ndarray:
+    """Norms of vectors given by components, the bits of ``np.linalg.norm``."""
     return np.sqrt(_dot(v, v))
 
 
-def _edges(nodes: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Edge vectors ``e0, e1, e2`` of every triangle, ``e_i`` opposite vertex ``i``."""
-    p0, p1, p2 = (np.take(nodes, triangles[:, k], axis=0) for k in range(3))
-    return p2 - p1, p0 - p2, p1 - p0
+def _edges(nodes: np.ndarray, triangles: np.ndarray) -> tuple[list, list, list]:
+    """Edge vectors ``e0, e1, e2`` of every triangle, ``e_i`` opposite vertex ``i``.
+
+    Each edge is a list of its three components, contiguous (m,) arrays
+    gathered from one contiguous coordinate column each.
+    """
+    corners = triangles.T.copy()
+    e0, e1, e2 = [], [], []
+    for c in range(3):
+        x = np.ascontiguousarray(nodes[:, c])
+        x0, x1, x2 = (np.take(x, corner) for corner in corners)
+        e0.append(x2 - x1)
+        e1.append(x0 - x2)
+        e2.append(x1 - x0)
+    return e0, e1, e2
+
+
+def _cross(e1, e2) -> tuple[np.ndarray, ...]:
+    """Components of ``e2 x (-e1)``, with the bits of ``np.cross(e2, -e1)``.
+
+    The negation is folded into the order of each subtraction, which IEEE
+    rounding makes exact: ``a (-b) - c (-d) = c d - a b``.
+    """
+    return (
+        e2[2] * e1[1] - e2[1] * e1[2],
+        e2[0] * e1[2] - e2[2] * e1[0],
+        e2[1] * e1[0] - e2[0] * e1[1],
+    )
 
 
 def _geometry_pass(nodes: np.ndarray, triangles: np.ndarray) -> _TriangleGeometry:
-    """Compute the per-triangle geometry of ``nodes[triangles]`` in one pass."""
+    """Compute the per-triangle geometry of ``nodes[triangles]`` in one pass.
+
+    The order keeps the peak memory low: ``cross`` is stacked and its
+    components dropped before ``dots`` is written row by row in place.
+    """
     e0, e1, e2 = _edges(nodes, triangles)
-    cross = np.cross(e2, -e1)
+    components = _cross(e1, e2)
+    doubled = _row_norms(components)
+    cross = np.stack(components, axis=1)
+    del components
     pairs = ((e0, e0), (e0, e1), (e0, e2), (e1, e1), (e1, e2), (e2, e2))
-    dots = np.stack([_dot(a, b) for a, b in pairs])
-    return _TriangleGeometry(cross, _row_norms(cross), dots)
+    dots = np.empty((len(pairs), triangles.shape[0]))
+    for row, (a, b) in enumerate(pairs):
+        dots[row] = _dot(a, b)
+    return _TriangleGeometry(cross, doubled, dots)
 
 
 def _reject_zero_area(areas: np.ndarray) -> None:
@@ -293,11 +332,16 @@ class StiffnessPattern:
         Ones where a node belongs to a triangle: ``incidence @ x`` sums a
         per-triangle ``x`` onto the nodes.
     scatter : csr_matrix of shape (nnz, 6 * n_triangles)
-        Ones where dot product ``j`` of triangle ``t`` (column ``6 t + j``)
-        enters a stiffness entry: ``scatter @ x`` sums the triangle-major
-        dot products over 4 A into the data array.
+        Ones where dot product ``j`` of triangle ``t`` (column ``j m + t``)
+        enters a stiffness entry: ``scatter @ x`` sums the dot products over
+        4 A, ravelled from their (6, m) array, into the data array.
 
-    Both list each row's columns in triangle order (see the module notes).
+    Both store each row's entries in triangle order, and scipy's CSR product
+    adds a row's terms in storage order, not column order (see the module
+    notes).  ``scatter``'s column indices are therefore not sorted within a
+    row, and nothing may sort or canonicalise it (``sort_indices``,
+    ``sum_duplicates``, a format round trip): that would add the terms in
+    dot-major order and change the stiffness bits.
     A node in no triangle raises :class:`MeshStructureError`.
     """
 
@@ -327,9 +371,9 @@ class StiffnessPattern:
         del codes
         scatter_ptr = np.append(np.flatnonzero(first), first.size).astype(np.int32)
         del first
-        # Entry 3 a + b of triangle t enters column 6 t + _BLOCK_DOT[3 a + b],
+        # Entry 3 a + b of triangle t enters column _BLOCK_DOT[3 a + b] m + t,
         # and the stable sort keeps each code's entries in triangle order.
-        cols = (6 * np.arange(m, dtype=np.int32)[:, None] + _BLOCK_DOT).ravel()[order]
+        cols = (np.arange(m, dtype=np.int32)[:, None] + m * _BLOCK_DOT).ravel()[order]
         del order
         # the transpose of the triangle-by-node matrix, whose conversion to
         # CSR lists each node's triangles in triangle order
@@ -375,7 +419,7 @@ def assemble_stiffness(
     doubled = geometry.doubled  # 2 * area
     _reject_zero_area(doubled)
     w = 1.0 / (2.0 * doubled)  # 1 / (4 A)
-    data = pattern.scatter @ (geometry.dots * w).ravel(order="F")  # triangle-major
+    data = pattern.scatter @ (geometry.dots * w).ravel()
     return csr_matrix(
         (data, pattern.indices, pattern.indptr),
         shape=(pattern.n_nodes, pattern.n_nodes),
@@ -408,7 +452,7 @@ def compute_node_normals(
     if pattern is None:
         pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
     accum = pattern.incidence @ _geometry(mesh).cross
-    norms = _row_norms(accum)
+    norms = _row_norms(accum.T)
     if norms.min() == 0.0:
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateGeometryError(
@@ -435,9 +479,8 @@ def displace_nodes(mesh: SurfaceMesh, displacement) -> SurfaceMesh:
         raise MeshStructureError(
             f"displacement shape {disp.shape} does not match nodes {mesh.nodes.shape}"
         )
-    finite = np.isfinite(disp).all(axis=1)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
+    if not np.isfinite(disp).all():
+        bad = int(np.flatnonzero(~np.isfinite(disp).all(axis=1))[0])
         raise NumericsError(f"non-finite displacement at node {bad}")
     return SurfaceMesh._with_nodes(mesh, mesh.nodes + disp)
 
@@ -470,15 +513,19 @@ def mesh_quality(mesh: SurfaceMesh) -> MeshQuality:
     perimeter = (l0 + l1) + l2  # left to right, the order of numpy's row sum
     with np.errstate(divide="ignore", invalid="ignore"):
         # angle at vertex i sits between the two edges that are not opposite
-        # it; the smallest angle has the largest cosine, as arccos is monotone
+        # it; the smallest angle has the largest cosine, as arccos is monotone,
+        # so one arccos of the mesh's largest cosine gives the minimum angle
         largest = np.maximum(-d12 / (l1 * l2), -d02 / (l2 * l0))
         largest = np.maximum(largest, -d01 / (l0 * l1))
-        smallest = np.degrees(np.arccos(np.clip(largest, -1.0, 1.0)))
         aspect = longest * perimeter / (4.0 * np.sqrt(3.0) * areas)
-    min_angles = np.where(areas > 0.0, smallest, 0.0)
-    aspect = np.where(areas > 0.0, aspect, np.inf)
+    positive = areas > 0.0
+    if positive.all():  # false for a zero or NaN area
+        min_angle = np.degrees(np.arccos(np.clip(largest.max(), -1.0, 1.0)))
+    else:
+        min_angle = 0.0
+    aspect = np.where(positive, aspect, np.inf)
     return MeshQuality(
-        min_angle_deg=float(min_angles.min(initial=np.inf)),
+        min_angle_deg=float(min_angle),
         min_area=float(areas.min(initial=np.inf)),
         max_aspect_ratio=float(aspect.max(initial=0.0)),
     )

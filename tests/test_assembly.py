@@ -8,14 +8,20 @@ import pytest
 from esdib import (
     DegenerateGeometryError,
     MeshStructureError,
+    SimState,
+    SolverConfig,
     StiffnessPattern,
     SurfaceMesh,
     assemble_lumped_mass,
     assemble_stiffness,
     compute_node_normals,
+    default_params,
     displace_nodes,
+    initial_condition,
+    step,
     surface_area,
 )
+from esdib import stepper
 from esdib.meshgen import generate_icosphere, generate_square
 
 
@@ -220,10 +226,11 @@ class TestPatternReuse:
         codes, slot = np.unique(rows * n + cols, return_inverse=True)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(codes // n, minlength=n))])
         # entry 3 a + b of triangle t reads dot product dot[3 a + b] of it,
-        # column 6 t + dot[3 a + b]; each row lists its entries in entry order
+        # column dot[3 a + b] m + t; each row lists its entries in entry order
+        m = len(tri)
         dot = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
         entry = np.argsort(slot, kind="stable")
-        scatter_indices = 6 * (entry // 9) + dot[entry % 9]
+        scatter_indices = dot[entry % 9] * m + entry // 9
         scatter_indptr = np.concatenate([[0], np.cumsum(np.bincount(slot))])
 
         pattern = StiffnessPattern(tri, n)
@@ -304,3 +311,22 @@ class TestCachedGeometry:
         K = assemble_stiffness(mesh, pattern)
         assert np.array_equal(K.indptr, pattern.indptr)
         assert np.array_equal(K.data, direct_stiffness(mesh, pattern))
+
+    def test_moving_step_stiffness_matches_direct_assembly(self, monkeypatch, bumpy_square):
+        # the stiffness that one moving step assembles on its moved mesh,
+        # copied before the step adds the mass to its diagonal in place
+        assembled = []
+
+        def capturing(mesh, pattern=None, original=stepper.assemble_stiffness):
+            K = original(mesh, pattern)
+            assembled.append((mesh, pattern, K.data.copy()))
+            return K
+
+        monkeypatch.setattr(stepper, "assemble_stiffness", capturing)
+        params = default_params(B=30.0, C=3.0, rho=2.0, kappa=0.2)
+        fields = initial_condition(bumpy_square, params, amplitude=0.5, seed=2)
+        state = SimState(t=0.0, mesh=bumpy_square, eta=fields.eta, theta=fields.theta)
+        after = step(state, params, SolverConfig(tau=1e-2, T=1e-2))
+        [(mesh, pattern, data)] = assembled
+        assert mesh is after.mesh and mesh is not bumpy_square
+        assert np.array_equal(data, direct_stiffness(mesh, pattern))

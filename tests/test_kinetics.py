@@ -54,6 +54,21 @@ class TestSourceTerms:
             eval_f(-eta, p.alpha, p), -eval_f(eta, p.alpha, p), rtol=1e-14, atol=0.0
         )
 
+    def test_f_is_the_product_form_bitwise(self):
+        # the cube is (eta * eta) * eta, not pow: eta**3 rounds differently on
+        # about a quarter of the entries
+        p = default_params(B=30.0, C=3.0)
+        rng = np.random.default_rng(4)
+        eta = rng.uniform(-2.0, 2.0, 2000)
+        theta = rng.uniform(0.0, 1.0, 2000)
+        want = p.A1 * (1.0 - theta) * eta - p.A2 * ((eta * eta) * eta) - p.B * (theta - p.alpha)
+        assert np.array_equal(eval_f(eta, theta, p), want)
+
+    def test_f_odd_in_eta_bitwise(self):
+        p = default_params(B=30.0, C=3.0)
+        eta = np.concatenate([[0.0, 1e-300, 1.0], np.random.default_rng(5).uniform(-2.0, 2.0, 500)])
+        assert np.array_equal(eval_f(-eta, p.alpha, p), -eval_f(eta, p.alpha, p))
+
     def test_vectorised_matches_scalar(self):
         p = default_params(B=66.0, C=3.0)
         rng = np.random.default_rng(2)

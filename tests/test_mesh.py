@@ -297,7 +297,31 @@ def direct_mesh_quality(mesh):
     )
 
 
+def row_major_geometry_pass(nodes, triangles):
+    """The geometry pass on (m, 3) rows: strided columns and ``np.cross``."""
+    p0, p1, p2 = (np.take(nodes, triangles[:, k], axis=0) for k in range(3))
+    e0, e1, e2 = p2 - p1, p0 - p2, p1 - p0
+
+    def dot(a, b):  # components summed left to right
+        return (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
+
+    cross = np.cross(e2, -e1)
+    pairs = ((e0, e0), (e0, e1), (e0, e2), (e1, e1), (e1, e2), (e2, e2))
+    return cross, np.sqrt(dot(cross, cross)), np.stack([dot(a, b) for a, b in pairs])
+
+
 class TestCachedGeometry:
+    def test_pass_matches_row_major_pass_bitwise(self, geometry_mesh):
+        mesh = geometry_mesh
+        geometry = mesh_module._geometry_pass(mesh.nodes, mesh.triangles)
+        cross, doubled, dots = row_major_geometry_pass(mesh.nodes, mesh.triangles)
+        m = mesh.n_triangles
+        assert geometry.cross.shape == (m, 3) and geometry.cross.flags.c_contiguous
+        assert geometry.dots.shape == (6, m) and geometry.dots.flags.c_contiguous
+        assert np.array_equal(geometry.cross, cross)
+        assert np.array_equal(geometry.doubled, doubled)
+        assert np.array_equal(geometry.dots, dots)
+
     def test_matches_direct_formulas_bitwise(self, geometry_mesh):
         mesh = geometry_mesh
         # quality first: it computes the pass the other queries then reuse
