@@ -191,9 +191,11 @@ def _cmd_mesh(args, extras) -> int:
     return EXIT_OK
 
 
-def _cmd_verify() -> int:
+def _cmd_verify(extras) -> int:
     from .verify import run_verification
 
+    if extras:
+        raise ConfigError(f"unrecognised argument {extras[0]!r}")
     results = run_verification()
     for r in results:
         mark = "ok  " if r.passed else "FAIL"
@@ -214,7 +216,7 @@ def main(argv=None) -> int:
             return _cmd_run(args, extras)
         if args.command == "mesh":
             return _cmd_mesh(args, extras)
-        return _cmd_verify()
+        return _cmd_verify(extras)
     except ConfigError as e:
         print(f"esdib: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

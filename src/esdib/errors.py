@@ -54,4 +54,6 @@ class ConfigError(EsdibError):
 
 
 class DataError(EsdibError):
-    """A diagnostic series is unusable: too short or non-positive areas."""
+    """Unusable data: a diagnostic series that is too short or has
+    non-positive areas, a field of the wrong shape, or a file that
+    :func:`esdib.read_vtk` cannot read."""

@@ -19,6 +19,7 @@ Simulations start from that equilibrium plus small uniform noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,10 +137,11 @@ def initial_condition(
 
     Each field receives ``amplitude * r`` with ``r`` drawn i.i.d. from
     U(-1, 1) per node; ``shared_noise=True`` reuses the same draw for both
-    fields.  Identical seeds reproduce identical fields bit for bit.
+    fields.  Identical seeds reproduce identical fields bit for bit.  An
+    ``amplitude`` that is negative, NaN or infinite raises ``ValueError``.
     """
-    if amplitude < 0.0:
-        raise ValueError(f"noise amplitude must be >= 0, got {amplitude}")
+    if not (math.isfinite(amplitude) and amplitude >= 0.0):
+        raise ValueError(f"noise amplitude must be finite and >= 0, got {amplitude}")
     rng = np.random.default_rng(seed)
     r_eta = rng.uniform(-1.0, 1.0, mesh.n_nodes)
     r_theta = r_eta if shared_noise else rng.uniform(-1.0, 1.0, mesh.n_nodes)

@@ -136,7 +136,8 @@ def solve_spd(
         Tolerance not reached within ``maxiter`` iterations; carries the
         final relative residual.
     NumericsError
-        Non-finite right-hand side or non-positive matrix diagonal.
+        Non-finite right-hand side, or a matrix diagonal entry that is not
+        positive (NaN included).
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     bnorm = float(np.linalg.norm(rhs))
@@ -146,8 +147,8 @@ def solve_spd(
         return np.zeros_like(rhs)
     if diag is None:
         diag = A.diagonal()
-    if diag.min() <= 0.0:
-        raise NumericsError("system matrix has a non-positive diagonal entry")
+    if not diag.min() > 0.0:  # NaN fails this too
+        raise NumericsError("system matrix has a non-positive or NaN diagonal entry")
     if x0 is None:
         x = np.zeros_like(rhs)
         r = rhs.copy()

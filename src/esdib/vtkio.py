@@ -1,20 +1,18 @@
-"""Snapshot export and import: legacy ASCII VTK unstructured grids, plus OBJ.
+"""Snapshot export and import: legacy binary VTK unstructured grids, plus OBJ.
 
-The writer emits the venerable text format (`# vtk DataFile Version 3.0`)
-with POINTS/CELLS/CELL_TYPES sections and one SCALARS block per nodal field.
-Floats are rendered with ``repr`` (shortest round-trip decimal), so re-reading
-a file reproduces the arrays exactly and identical states produce
-byte-identical files.  The reader handles exactly this subset, enough for
-round trips and for inspecting run artifacts.
+The VTK writer emits the legacy format (``# vtk DataFile Version 3.0``) with
+``BINARY`` on line 3.  The header and every section line are text; each
+section line is followed by one block of big-endian values and a newline:
+POINTS and the SCALARS fields (one per nodal field) as ``>f8``, CELLS and
+CELL_TYPES as ``>i4``.  A block holds the array's own bits, so re-reading a
+file reproduces the arrays exactly and identical states produce
+byte-identical files.  ParaView and VisIt read these files.  The reader
+accepts exactly what the writer writes, enough for round trips and for
+inspecting run artifacts; it does not read ASCII VTK.
 
-OBJ export writes geometry only (``v`` and ``f`` records, 1-based indices).
-
-Both writers format each section as one block of text from ``.tolist()``
-before the file is opened, then write the blocks with ``writelines``; the
-bytes are those of a line-by-line writer.  The ``CELLS``/``CELL_TYPES`` text
-depends only on the connectivity, which a run shares as one read-only array
-across every step, so the text of the last read-only triangle array written
-is kept and reused while the next mesh carries that same array.
+OBJ export writes geometry only, as text (``v`` and ``f`` records, 1-based
+indices).  Each section is formatted as one block of text from ``.tolist()``
+before the file is opened; the bytes are those of a line-by-line writer.
 """
 
 from __future__ import annotations
@@ -25,9 +23,8 @@ from .errors import DataError
 from .mesh import SurfaceMesh
 
 _TRIANGLE_CELL_TYPE = 5
-
-#: (triangles, text) of the last read-only connectivity written as VTK cells.
-_cells_cache: tuple[np.ndarray, str] | None = None
+_FLOAT = np.dtype(">f8")
+_INT = np.dtype(">i4")
 
 
 def _block(row: str, count: int, values: np.ndarray) -> str:
@@ -39,28 +36,8 @@ def _block(row: str, count: int, values: np.ndarray) -> str:
     return (row * count) % tuple(values.ravel().tolist())
 
 
-def _vtk_cells(triangles: np.ndarray) -> str:
-    """The CELLS and CELL_TYPES sections for ``triangles``, cached per array."""
-    global _cells_cache
-    cached = _cells_cache  # one read, so another thread's entry is never half-seen
-    if cached is not None and cached[0] is triangles:
-        return cached[1]
-    m = triangles.shape[0]
-    text = (
-        f"CELLS {m} {4 * m}\n"
-        + _block("3 %d %d %d\n", m, triangles)
-        + f"CELL_TYPES {m}\n"
-        + f"{_TRIANGLE_CELL_TYPE}\n" * m
-    )
-    # holding the array keeps its id from being reused; only an array that
-    # cannot be written to is sure to still hold the same connectivity later
-    if not triangles.flags.writeable:
-        _cells_cache = (triangles, text)
-    return text
-
-
 def write_vtk(path, mesh: SurfaceMesh, point_data=None, title="surface snapshot") -> None:
-    """Write the mesh and optional nodal scalar fields as legacy ASCII VTK.
+    """Write the mesh and optional nodal scalar fields as legacy binary VTK.
 
     Parameters
     ----------
@@ -88,18 +65,23 @@ def write_vtk(path, mesh: SurfaceMesh, point_data=None, title="surface snapshot"
             raise DataError(
                 f"field {name!r} has shape {np.shape(values)}, expected ({n},)"
             )
+    m = len(mesh.triangles)
+    cells = np.empty((m, 4), _INT)
+    cells[:, 0] = 3
+    cells[:, 1:] = mesh.triangles
     blocks = [
-        f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
-        f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n",
-        _block("%r %r %r\n", n, mesh.nodes),
-        _vtk_cells(mesh.triangles),
+        f"# vtk DataFile Version 3.0\n{title}\nBINARY\n"
+        f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n".encode(),
+        np.ascontiguousarray(mesh.nodes, _FLOAT), b"\n",
+        f"CELLS {m} {4 * m}\n".encode(), cells, b"\n",
+        f"CELL_TYPES {m}\n".encode(), np.full(m, _TRIANGLE_CELL_TYPE, _INT), b"\n",
     ]
     if point_data:
-        blocks.append(f"POINT_DATA {n}\n")
+        blocks.append(f"POINT_DATA {n}\n".encode())
         for name, values in point_data.items():
-            blocks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            blocks.append(_block("%r\n", n, np.asarray(values, dtype=np.float64)))
-    with open(path, "w", newline="\n") as f:
+            blocks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n".encode())
+            blocks += [np.ascontiguousarray(values, _FLOAT), b"\n"]
+    with open(path, "wb") as f:
         f.writelines(blocks)
 
 
@@ -124,68 +106,76 @@ def write_obj(path, mesh: SurfaceMesh) -> None:
 
 
 def read_vtk(path):
-    """Read a legacy ASCII VTK file written by :func:`write_vtk`.
+    """Read a legacy binary VTK file written by :func:`write_vtk`.
 
     Returns
     -------
     (nodes, triangles, point_data)
         Coordinate array, connectivity array, and a dict of nodal fields
-        (empty when the file has no POINT_DATA section).
+        (empty when the file has no POINT_DATA section), in native byte order.
 
     Raises
     ------
     DataError
-        The file is not in the supported subset (one-component fields, nothing
-        after the last one), or holds a count that is not a whole number, a
-        value that is not a number, or a cell index outside ``[0, n_points)``.
+        The file is not what :func:`write_vtk` writes (an ASCII file, a
+        section out of place, a field of other than one component, anything
+        after the last field), or holds a count that is not a whole number,
+        a block cut short, a cell that is not a triangle, or a cell index
+        outside ``[0, n_points)``.
     """
-    with open(path) as f:
-        lines = f.read().split("\n", 3)
+    with open(path, "rb") as f:
+        data = f.read()
     # the version line and the free-text title come first, the format third
-    fmt = lines[2].strip() if len(lines) > 2 else "<eof>"
-    if fmt.upper() != "ASCII":
-        raise DataError(f"expected ASCII on line 3 of {path}, got {fmt!r}")
-    tokens = lines[3].split() if len(lines) > 3 else []
-    pos = 0
+    head = data.split(b"\n", 3)
+    fmt = head[2].decode("ascii", "replace").strip() if len(head) > 2 else "<eof>"
+    if fmt != "BINARY":
+        raise DataError(f"expected BINARY on line 3 of {path}, got {fmt!r}")
+    pos = len(data) - len(head[3]) if len(head) > 3 else len(data)
 
-    def expect(word: str):
+    def line() -> list[str]:
+        """The words of the next line, which must end in a newline."""
         nonlocal pos
-        if pos >= len(tokens) or tokens[pos].upper() != word:
-            got = tokens[pos] if pos < len(tokens) else "<eof>"
-            raise DataError(f"expected {word} in {path}, got {got!r}")
-        pos += 1
-
-    def take(count: int) -> list[str]:
-        nonlocal pos
-        if pos + count > len(tokens):
+        end = data.find(b"\n", pos)
+        if end < 0:
             raise DataError(f"unexpected end of file in {path}")
-        out = tokens[pos : pos + count]
-        pos += count
-        return out
+        words = data[pos:end].decode("ascii", "replace").split()
+        pos = end + 1
+        return words
 
-    def take_count(section: str) -> int:
-        word = take(1)[0]
+    def expect(*pattern: str | None) -> list[str]:
+        """The next line, whose words must match ``pattern`` (None matches any)."""
+        words = line()
+        if len(words) != len(pattern) or any(
+            p is not None and p != w for p, w in zip(pattern, words)
+        ):
+            want = " ".join(p or "_" for p in pattern)
+            raise DataError(f"expected {want!r} in {path}, got {' '.join(words)!r}")
+        return words
+
+    def count(word: str, section: str) -> int:
         if not word.isdecimal():
             raise DataError(f"{section} count {word!r} in {path} is not a whole number")
         return int(word)
 
-    def take_numbers(count: int, dtype) -> np.ndarray:
-        words = take(count)
-        try:
-            return np.array(words, dtype=dtype)
-        except (ValueError, OverflowError):
-            raise DataError(f"non-numeric or out-of-range value in {path}") from None
+    def block(size: int, dtype: np.dtype, section: str) -> np.ndarray:
+        nonlocal pos
+        end = pos + size * dtype.itemsize
+        if end >= len(data):
+            raise DataError(f"truncated {section} block in {path}")
+        if data[end] != ord("\n"):
+            raise DataError(f"{section} block in {path} is not followed by a newline")
+        values = np.frombuffer(data, dtype, size, pos).astype(dtype.newbyteorder("="))
+        pos = end + 1
+        return values
 
-    expect("DATASET")
-    expect("UNSTRUCTURED_GRID")
-    expect("POINTS")
-    n = take_count("POINTS")
-    take(1)  # dtype
-    nodes = take_numbers(3 * n, np.float64).reshape(n, 3)
-    expect("CELLS")
-    m = take_count("CELLS")
-    take(1)  # total index count
-    cells = take_numbers(4 * m, np.int64).reshape(m, 4)
+    expect("DATASET", "UNSTRUCTURED_GRID")
+    n = count(expect("POINTS", None, "double")[1], "POINTS")
+    nodes = block(3 * n, _FLOAT, "POINTS").reshape(n, 3)
+    cells_line = expect("CELLS", None, None)
+    m, size = count(cells_line[1], "CELLS"), count(cells_line[2], "CELLS size")
+    if size != 4 * m:
+        raise DataError(f"non-triangle cell in {path}: CELLS {m} {size}")
+    cells = block(size, _INT, "CELLS").astype(np.int64).reshape(m, 4)
     if not (cells[:, 0] == 3).all():
         raise DataError(f"non-triangle cell in {path}")
     triangles = cells[:, 1:]
@@ -193,27 +183,22 @@ def read_vtk(path):
     if outside.any():
         bad = int(np.flatnonzero(outside)[0])
         raise DataError(f"cell {bad} in {path} references a point outside [0, {n})")
-    expect("CELL_TYPES")
-    type_count = take_count("CELL_TYPES")
+    type_count = count(expect("CELL_TYPES", None)[1], "CELL_TYPES")
     if type_count != m:
         raise DataError(f"{type_count} CELL_TYPES for {m} CELLS in {path}")
-    types = take_numbers(type_count, np.int64)
-    if not (types == _TRIANGLE_CELL_TYPE).all():
+    if not (block(m, _INT, "CELL_TYPES") == _TRIANGLE_CELL_TYPE).all():
         raise DataError(f"unsupported cell type in {path}")
     point_data: dict[str, np.ndarray] = {}
-    if pos < len(tokens) and tokens[pos].upper() == "POINT_DATA":
-        pos += 1
-        count = take_count("POINT_DATA")
-        if count != n:
-            raise DataError(f"POINT_DATA {count} for {n} POINTS in {path}")
-        while pos < len(tokens) and tokens[pos].upper() == "SCALARS":
-            pos += 1
-            name = take(1)[0]
-            if take(2)[1] != "1":  # the dtype, then the component count
+    if data.startswith(b"POINT_DATA ", pos):
+        points = count(expect("POINT_DATA", None)[1], "POINT_DATA")
+        if points != n:
+            raise DataError(f"POINT_DATA {points} for {n} POINTS in {path}")
+        while not point_data or data.startswith(b"SCALARS ", pos):  # one field or more
+            _, name, _, components = expect("SCALARS", None, "double", None)
+            if components != "1":
                 raise DataError(f"field {name!r} in {path} has other than one component")
-            expect("LOOKUP_TABLE")
-            take(1)  # table name
-            point_data[name] = take_numbers(count, np.float64)
-    if pos < len(tokens):
-        raise DataError(f"unexpected {tokens[pos]!r} after the last section of {path}")
+            expect("LOOKUP_TABLE", "default")
+            point_data[name] = block(n, _FLOAT, f"field {name!r}")
+    if pos < len(data):
+        raise DataError(f"{len(data) - pos} unexpected bytes after the last section of {path}")
     return nodes, triangles, point_data

@@ -201,3 +201,7 @@ class TestVerifyCommand:
         assert len(lines) >= 7
         assert all(l.startswith("ok  ") for l in lines)
         assert "checks passed" in out
+
+    def test_stray_argument_rejected(self, capsys):
+        assert run_main("verify", "--bogus") == 2
+        assert "'--bogus'" in capsys.readouterr().err

@@ -148,5 +148,6 @@ class TestInitialCondition:
         assert np.all(fields.theta == self.params.alpha)
 
     def test_negative_amplitude_rejected(self):
-        with pytest.raises(ValueError):
-            initial_condition(self.mesh, self.params, amplitude=-1.0)
+        for amplitude in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                initial_condition(self.mesh, self.params, amplitude=amplitude)

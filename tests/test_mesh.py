@@ -158,12 +158,8 @@ class TestNormals:
             compute_node_normals(mesh)
 
     def test_folded_fan_rejected(self):
-        # two coincident triangles with opposite winding cancel exactly;
-        # such a fold can only arise from node motion, so bypass validation
-        mesh = SurfaceMesh.__new__(SurfaceMesh)
-        mesh.nodes = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
-        mesh.triangles = np.array([[0, 1, 2], [0, 2, 1]])
-        mesh.boundary_node = np.zeros(3, dtype=bool)
+        # two coincident triangles with opposite winding cancel exactly
+        mesh = SurfaceMesh([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2], [0, 2, 1]])
         with pytest.raises(DegenerateGeometryError, match="vanishing normal"):
             compute_node_normals(mesh)
 

@@ -152,9 +152,14 @@ class TestSolveSpd:
         assert exc.value.residual > 0.0
 
     def test_non_positive_diagonal_rejected(self):
-        A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(NumericsError):
-            solve_spd(A, np.array([1.0, 1.0]))
+        for diagonal in ([1.0, 0.0], [2.0, np.nan, 3.0]):
+            iterates = []
+            with pytest.raises(NumericsError):
+                solve_spd(
+                    sp.diags(diagonal).tocsr(), np.ones(len(diagonal)),
+                    maxiter=50, callback=iterates.append,
+                )
+            assert iterates == []  # rejected before the first iteration
 
     def test_non_finite_rhs_rejected(self):
         A = sp.identity(3, format="csr")

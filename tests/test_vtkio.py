@@ -1,4 +1,6 @@
-"""Legacy VTK and OBJ export, plus the matching VTK reader."""
+"""Legacy binary VTK and OBJ export, plus the matching VTK reader."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -21,31 +23,25 @@ from esdib.meshgen import generate_icosphere, generate_square
 
 
 def reference_write_vtk(path, mesh, point_data=None, title="surface snapshot"):
-    """The line-by-line VTK writer whose bytes ``write_vtk`` must reproduce."""
-    fmt = lambda x: repr(float(x))
+    """A writer that packs the expected big-endian bytes value by value."""
     point_data = {} if point_data is None else point_data
     n, m = mesh.n_nodes, mesh.n_triangles
-    with open(path, "w", newline="\n") as f:
-        f.write("# vtk DataFile Version 3.0\n")
-        f.write(f"{title}\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {n} double\n")
-        for p in mesh.nodes:
-            f.write(f"{fmt(p[0])} {fmt(p[1])} {fmt(p[2])}\n")
-        f.write(f"CELLS {m} {4 * m}\n")
-        for tri in mesh.triangles:
-            f.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n")
-        f.write(f"CELL_TYPES {m}\n")
-        for _ in range(m):
-            f.write("5\n")
-        if point_data:
-            f.write(f"POINT_DATA {n}\n")
-            for name, values in point_data.items():
-                f.write(f"SCALARS {name} double 1\n")
-                f.write("LOOKUP_TABLE default\n")
-                for v in np.asarray(values, dtype=np.float64):
-                    f.write(f"{fmt(v)}\n")
+    doubles = lambda values: struct.pack(f">{len(values)}d", *map(float, values)) + b"\n"
+    ints = lambda values: struct.pack(f">{len(values)}i", *map(int, values)) + b"\n"
+    parts = [
+        b"# vtk DataFile Version 3.0\n", title.encode() + b"\n", b"BINARY\n",
+        b"DATASET UNSTRUCTURED_GRID\n", f"POINTS {n} double\n".encode(),
+        doubles([x for p in mesh.nodes for x in p]),
+        f"CELLS {m} {4 * m}\n".encode(),
+        ints([k for tri in mesh.triangles for k in (3, *tri)]),
+        f"CELL_TYPES {m}\n".encode(), ints([5] * m),
+    ]
+    if point_data:
+        parts.append(f"POINT_DATA {n}\n".encode())
+        for name, values in point_data.items():
+            parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n".encode())
+            parts.append(doubles(values))
+    path.write_bytes(b"".join(parts))
 
 
 def reference_write_obj(path, mesh):
@@ -67,13 +63,37 @@ def perturbed_icosphere(seed=0):
 def awkward_field(n, seed=0):
     """A nodal field mixing random floats with values whose text is unusual."""
     values = np.random.default_rng(seed).standard_normal(n)
-    special = [-0.0, 0.0, 5e-324, 1e300, -1e-7, 1.0, -3.0, 1e16, 0.1, 2.5e-310]
+    special = [-0.0, 0.0, 5e-324, 1e300, np.nan, -1e-7, 1.0, -3.0, 1e16, 0.1, 2.5e-310]
     values[: len(special)] = special
     return values
 
 
 def assert_same_bytes(path, reference_path):
     assert path.read_bytes() == reference_path.read_bytes()
+
+
+def cut(data, layout):
+    """Walk ``data`` through ``layout``, returning the arrays it holds.
+
+    Each bytes item of ``layout`` must appear next, verbatim; each
+    ``(dtype, count)`` item is read as an array.  Nothing may be left over.
+    """
+    pos, arrays = 0, []
+    for part in layout:
+        if isinstance(part, bytes):
+            assert data[pos : pos + len(part)] == part
+            pos += len(part)
+        else:
+            dtype, count = np.dtype(part[0]), part[1]
+            arrays.append(np.frombuffer(data, dtype, count, pos))
+            pos += count * dtype.itemsize
+    assert pos == len(data)
+    return arrays
+
+
+def bits(values):
+    """The IEEE bit patterns of a float64 array, so that -0.0 and NaN compare."""
+    return np.ascontiguousarray(values, np.float64).view(np.uint64)
 
 
 @pytest.fixture
@@ -84,42 +104,43 @@ def small_mesh():
 class TestWriteVtk:
     def test_file_structure(self, tmp_path, small_mesh):
         path = tmp_path / "mesh.vtk"
-        write_vtk(path, small_mesh, point_data={"eta": np.zeros(9)})
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# vtk DataFile Version 3.0"
-        assert lines[2] == "ASCII"
-        assert lines[3] == "DATASET UNSTRUCTURED_GRID"
-        assert lines[4] == "POINTS 9 double"
-        assert f"CELLS 8 {4 * 8}" in lines
-        assert "CELL_TYPES 8" in lines
-        assert "POINT_DATA 9" in lines
-        assert "SCALARS eta double 1" in lines
-        assert "LOOKUP_TABLE default" in lines
-        # every cell row is a triangle record
-        start = lines.index(f"CELLS 8 {4 * 8}") + 1
-        for row in lines[start : start + 8]:
-            assert row.startswith("3 ")
+        eta = np.linspace(0.0, 1.0, 9)
+        write_vtk(path, small_mesh, point_data={"eta": eta})
+        nodes, cells, types, values = cut(path.read_bytes(), [
+            b"# vtk DataFile Version 3.0\nsurface snapshot\nBINARY\n"
+            b"DATASET UNSTRUCTURED_GRID\nPOINTS 9 double\n", (">f8", 27),
+            b"\nCELLS 8 32\n", (">i4", 32),
+            b"\nCELL_TYPES 8\n", (">i4", 8),
+            b"\nPOINT_DATA 9\nSCALARS eta double 1\nLOOKUP_TABLE default\n", (">f8", 9),
+            b"\n",
+        ])
+        assert np.array_equal(nodes.reshape(9, 3), small_mesh.nodes)
+        # every cell is a triangle record
+        assert np.array_equal(cells.reshape(8, 4)[:, 0], np.full(8, 3))
+        assert np.array_equal(cells.reshape(8, 4)[:, 1:], small_mesh.triangles)
+        assert np.array_equal(types, np.full(8, 5))
+        assert np.array_equal(values, eta)
 
     def test_geometry_round_trip_is_exact(self, tmp_path):
-        mesh = generate_icosphere(1.3, 2)
-        rng = np.random.default_rng(0)
-        fields = {
-            "eta": rng.standard_normal(mesh.n_nodes),
-            "theta": rng.uniform(0.0, 1.0, mesh.n_nodes),
-        }
+        # every bit comes back, the sign of zero and of NaN included
+        mesh = perturbed_icosphere()
+        fields = {"eta": awkward_field(mesh.n_nodes, 1), "theta": -awkward_field(mesh.n_nodes, 2)}
         path = tmp_path / "sphere.vtk"
         write_vtk(path, mesh, point_data=fields)
         nodes, triangles, data = read_vtk(path)
-        assert np.array_equal(nodes, mesh.nodes)
+        assert np.array_equal(bits(nodes), bits(mesh.nodes))
         assert np.array_equal(triangles, mesh.triangles)
-        assert set(data) == {"eta", "theta"}
-        assert np.array_equal(data["eta"], fields["eta"])
-        assert np.array_equal(data["theta"], fields["theta"])
+        assert list(data) == ["eta", "theta"]
+        for name, values in fields.items():
+            assert np.array_equal(bits(data[name]), bits(values))
+        # native byte order, as the arrays that were written
+        assert nodes.dtype == np.float64 and triangles.dtype == np.int64
+        assert data["eta"].dtype == np.float64
 
     def test_no_point_data_section_when_empty(self, tmp_path, small_mesh):
         path = tmp_path / "bare.vtk"
         write_vtk(path, small_mesh)
-        assert "POINT_DATA" not in path.read_text()
+        assert b"POINT_DATA" not in path.read_bytes()
         _, _, data = read_vtk(path)
         assert data == {}
 
@@ -157,7 +178,7 @@ class TestNamesAndTitles:
         path = tmp_path / "mesh.vtk"
         eta = np.linspace(0.0, 1.0, 9)
         write_vtk(path, small_mesh, point_data={"eta": eta}, title=title)
-        assert path.read_text().split("\n")[1] == title
+        assert path.read_bytes().split(b"\n")[1] == title.encode()
         nodes, triangles, data = read_vtk(path)
         assert np.array_equal(nodes, small_mesh.nodes)
         assert np.array_equal(triangles, small_mesh.triangles)
@@ -180,7 +201,9 @@ class TestBytesMatchLineWriter:
         write_vtk(tmp_path / "new.vtk", mesh, point_data=fields, title="t = 0.25")
         reference_write_vtk(tmp_path / "ref.vtk", mesh, point_data=fields, title="t = 0.25")
         assert_same_bytes(tmp_path / "new.vtk", tmp_path / "ref.vtk")
-        assert "-0.0\n0.0\n5e-324\n1e+300\n-1e-07\n1.0\n" in (tmp_path / "new.vtk").read_text()
+        # the sign of zero, a subnormal, a huge value and a NaN all keep their bits
+        special = struct.pack(">5d", -0.0, 0.0, 5e-324, 1e300, np.nan)
+        assert special in (tmp_path / "new.vtk").read_bytes()
 
     @pytest.mark.parametrize("point_data", [None, {}], ids=["none", "empty"])
     def test_no_point_data_and_default_title(self, tmp_path, point_data):
@@ -196,8 +219,8 @@ class TestBytesMatchLineWriter:
         assert_same_bytes(tmp_path / "new.vtk", tmp_path / "ref.vtk")
 
     def test_connectivity_text_never_stale(self, tmp_path):
-        # the CELLS text is reused per triangle array: switching meshes and
-        # moving nodes over a shared array must still give the reference bytes
+        # one triangle array shared by several meshes, switching meshes and
+        # moving nodes over it, gives the reference bytes every time
         sphere, square = perturbed_icosphere(), generate_square(2.0, 3)
         moved = displace_nodes(sphere, np.full(sphere.nodes.shape, 0.5))
         assert moved.triangles is sphere.triangles
@@ -206,19 +229,6 @@ class TestBytesMatchLineWriter:
             write_vtk(tmp_path / f"new{k}.vtk", mesh, point_data={"eta": eta})
             reference_write_vtk(tmp_path / f"ref{k}.vtk", mesh, point_data={"eta": eta})
             assert_same_bytes(tmp_path / f"new{k}.vtk", tmp_path / f"ref{k}.vtk")
-
-    def test_writable_triangles_are_not_reused(self, tmp_path, small_mesh):
-        # a duck-typed mesh whose connectivity can change in place
-        class Loose:
-            nodes = small_mesh.nodes
-            triangles = small_mesh.triangles.copy()
-            n_nodes, n_triangles = small_mesh.n_nodes, small_mesh.n_triangles
-
-        write_vtk(tmp_path / "before.vtk", Loose)
-        Loose.triangles[0] = Loose.triangles[0, ::-1]
-        write_vtk(tmp_path / "new.vtk", Loose)
-        reference_write_vtk(tmp_path / "ref.vtk", Loose)
-        assert_same_bytes(tmp_path / "new.vtk", tmp_path / "ref.vtk")
 
     def test_obj(self, tmp_path):
         for k, mesh in enumerate([perturbed_icosphere(), generate_square(2.0, 3)]):
@@ -248,7 +258,7 @@ class TestSnapshot:
         state = SimState(t=0.125, mesh=mesh, eta=fields.eta, theta=fields.theta)
         path = tmp_path / "snap.vtk"
         export_mesh_snapshot(state, path)
-        assert path.read_text().splitlines()[1] == "t = 0.125"
+        assert path.read_bytes().split(b"\n")[1] == b"t = 0.125"
         nodes, triangles, data = read_vtk(path)
         assert np.array_equal(nodes, mesh.nodes)
         assert np.array_equal(data["eta"], fields.eta)
@@ -290,110 +300,158 @@ class TestObj:
         assert indices.max() == small_mesh.n_nodes
 
 
+
+
 class TestReadErrors:
+    HEAD = b"# vtk DataFile Version 3.0\ntitle\nBINARY\nDATASET UNSTRUCTURED_GRID\n"
+    CELLS = b"CELLS 1 4\n" + struct.pack(">4i", 3, 0, 1, 2)
+    TYPES = b"CELL_TYPES 1\n" + struct.pack(">i", 5)
+    ONE_TRIANGLE = (
+        HEAD + b"POINTS 3 double\n" + struct.pack(">9d", 0, 0, 0, 1, 0, 0, 0, 1, 0)
+        + b"\n" + CELLS + b"\n" + TYPES + b"\n"
+    )
+    FIELD = (
+        b"POINT_DATA 3\nSCALARS v double 1\nLOOKUP_TABLE default\n"
+        + struct.pack(">3d", 1, 2, 3) + b"\n"
+    )
+
+    def write(self, tmp_path, data):
+        path = tmp_path / "bad.vtk"
+        path.write_bytes(data)
+        return path
+
+    def test_reference_files_read(self, tmp_path):
+        nodes, triangles, data = read_vtk(self.write(tmp_path, self.ONE_TRIANGLE))
+        assert np.array_equal(triangles, [[0, 1, 2]]) and data == {}
+        _, _, data = read_vtk(self.write(tmp_path, self.ONE_TRIANGLE + self.FIELD))
+        assert np.array_equal(data["v"], [1.0, 2.0, 3.0])
+
     def test_missing_sections(self, tmp_path):
-        bad = tmp_path / "bad.vtk"
-        bad.write_text("# vtk DataFile Version 3.0\ntitle\nASCII\nDATASET POLYDATA\n")
-        with pytest.raises(DataError):
-            read_vtk(bad)
+        with pytest.raises(DataError, match="UNSTRUCTURED_GRID"):
+            read_vtk(self.write(tmp_path, self.HEAD.replace(b"UNSTRUCTURED_GRID", b"POLYDATA")))
+        with pytest.raises(DataError, match="end of file"):
+            read_vtk(self.write(tmp_path, self.HEAD))
+        with pytest.raises(DataError, match="expected 'CELLS"):
+            read_vtk(self.write(tmp_path, self.ONE_TRIANGLE.replace(b"CELLS 1 4", b"CELLZ 1 4")))
 
     def test_truncated_points(self, tmp_path):
-        bad = tmp_path / "short.vtk"
-        bad.write_text(
-            "# vtk DataFile Version 3.0\ntitle\nASCII\n"
-            "DATASET UNSTRUCTURED_GRID\nPOINTS 4 double\n0 0 0\n"
-        )
-        with pytest.raises(DataError):
-            read_vtk(bad)
+        data = self.HEAD + b"POINTS 4 double\n" + struct.pack(">3d", 0, 0, 0) + b"\n"
+        with pytest.raises(DataError, match="truncated POINTS block"):
+            read_vtk(self.write(tmp_path, data))
+
+    @pytest.mark.parametrize(
+        "anchor, section",
+        [(b"POINTS 3 double\n", "POINTS"), (b"CELLS 1 4\n", "CELLS"),
+         (b"CELL_TYPES 1\n", "CELL_TYPES"), (b"LOOKUP_TABLE default\n", "field 'v'")],
+        ids=["points", "cells", "cell types", "field"],
+    )
+    def test_truncated_block(self, tmp_path, anchor, section):
+        full = self.ONE_TRIANGLE + self.FIELD
+        start = full.index(anchor) + len(anchor)
+        for end in (start, start + 3, full.index(b"\n", start + 4)):
+            with pytest.raises(DataError, match=f"truncated {section} block"):
+                read_vtk(self.write(tmp_path, full[:end]))
+
+    def test_every_cut_is_rejected(self, tmp_path):
+        # only the whole file and the file without its field are complete
+        full = self.ONE_TRIANGLE + self.FIELD
+        for end in range(len(full)):
+            if end == len(self.ONE_TRIANGLE):
+                continue
+            with pytest.raises(DataError):
+                read_vtk(self.write(tmp_path, full[:end]))
+
+    def test_block_must_end_in_newline(self, tmp_path):
+        data = self.ONE_TRIANGLE.replace(self.CELLS + b"\n", self.CELLS + b" ")
+        with pytest.raises(DataError, match="CELLS block .* not followed by a newline"):
+            read_vtk(self.write(tmp_path, data))
 
     def test_non_triangle_cells(self, tmp_path):
-        bad = tmp_path / "quad.vtk"
-        bad.write_text(
-            "# vtk DataFile Version 3.0\ntitle\nASCII\n"
-            "DATASET UNSTRUCTURED_GRID\nPOINTS 4 double\n"
-            "0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
-            "CELLS 1 5\n4 0 1 2 3\nCELL_TYPES 1\n9\n"
+        quad = (
+            self.HEAD + b"POINTS 4 double\n" + struct.pack(">12d", 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0)
+            + b"\nCELLS 1 5\n" + struct.pack(">5i", 4, 0, 1, 2, 3) + b"\nCELL_TYPES 1\n"
+            + struct.pack(">i", 9) + b"\n"
         )
         with pytest.raises(DataError, match="non-triangle"):
-            read_vtk(bad)
+            read_vtk(self.write(tmp_path, quad))
+        # a four-entry cell that claims four points is not a triangle either
+        data = self.ONE_TRIANGLE.replace(self.CELLS, b"CELLS 1 4\n" + struct.pack(">4i", 4, 0, 1, 2))
+        with pytest.raises(DataError, match="non-triangle"):
+            read_vtk(self.write(tmp_path, data))
+
+    def test_cell_types_must_be_triangles(self, tmp_path):
+        data = self.ONE_TRIANGLE.replace(self.TYPES, b"CELL_TYPES 1\n" + struct.pack(">i", 9))
+        with pytest.raises(DataError, match="unsupported cell type"):
+            read_vtk(self.write(tmp_path, data))
 
     def test_point_data_count_must_match_points(self, tmp_path):
         path = tmp_path / "mesh.vtk"
         write_vtk(path, generate_square(1.0, 2), point_data={"eta": np.zeros(9)})
-        bad = tmp_path / "short.vtk"
-        bad.write_text(path.read_text().replace("POINT_DATA 9", "POINT_DATA 5"))
+        data = path.read_bytes().replace(b"POINT_DATA 9", b"POINT_DATA 5")
         with pytest.raises(DataError, match="POINT_DATA 5 for 9 POINTS"):
-            read_vtk(bad)
+            read_vtk(self.write(tmp_path, data))
+
+    def test_point_data_needs_a_field(self, tmp_path):
+        with pytest.raises(DataError, match="end of file"):
+            read_vtk(self.write(tmp_path, self.ONE_TRIANGLE + b"POINT_DATA 3\n"))
+        data = self.ONE_TRIANGLE + b"POINT_DATA 3\nVECTORS w double\n"
+        with pytest.raises(DataError, match="expected 'SCALARS _ double _' .* got 'VECTORS w double'"):
+            read_vtk(self.write(tmp_path, data))
 
     def test_format_is_read_from_line_three(self, tmp_path):
-        bad = tmp_path / "binary.vtk"
-        bad.write_text(
-            "# vtk DataFile Version 3.0\nASCII\nBINARY\n"
-            "DATASET UNSTRUCTURED_GRID\nPOINTS 0 double\n"
+        data = self.ONE_TRIANGLE.replace(b"title\nBINARY\n", b"BINARY\nASCII\n")
+        with pytest.raises(DataError, match="expected BINARY on line 3"):
+            read_vtk(self.write(tmp_path, data))
+        short = b"# vtk DataFile Version 3.0\nBINARY\n"
+        with pytest.raises(DataError, match="line 3"):
+            read_vtk(self.write(tmp_path, short))
+
+    def test_ascii_file_rejected(self, tmp_path):
+        # a one-triangle file in the ASCII form that earlier versions wrote
+        ascii_vtk = (
+            b"# vtk DataFile Version 3.0\ntitle\nASCII\n"
+            b"DATASET UNSTRUCTURED_GRID\nPOINTS 3 double\n"
+            b"0.0 0.0 0.0\n1.0 0.0 0.0\n0.0 1.0 0.0\n"
+            b"CELLS 1 4\n3 0 1 2\nCELL_TYPES 1\n5\n"
         )
-        with pytest.raises(DataError, match="line 3"):
-            read_vtk(bad)
-        short = tmp_path / "short.vtk"
-        short.write_text("# vtk DataFile Version 3.0\nASCII\n")
-        with pytest.raises(DataError, match="line 3"):
-            read_vtk(short)
+        with pytest.raises(DataError, match="expected BINARY on line 3 .* got 'ASCII'"):
+            read_vtk(self.write(tmp_path, ascii_vtk))
 
     def test_cell_types_count_must_match_cells(self, tmp_path):
-        bad = tmp_path / "types.vtk"
-        bad.write_text(
-            "# vtk DataFile Version 3.0\ntitle\nASCII\n"
-            "DATASET UNSTRUCTURED_GRID\nPOINTS 3 double\n"
-            "0 0 0\n1 0 0\n0 1 0\n"
-            "CELLS 1 4\n3 0 1 2\nCELL_TYPES 0\n"
-        )
+        data = self.ONE_TRIANGLE.replace(self.TYPES, b"CELL_TYPES 0\n")
         with pytest.raises(DataError, match="0 CELL_TYPES for 1 CELLS"):
-            read_vtk(bad)
-
-    ONE_TRIANGLE = (
-        "# vtk DataFile Version 3.0\ntitle\nASCII\n"
-        "DATASET UNSTRUCTURED_GRID\nPOINTS 3 double\n"
-        "0 0 0\n1 0 0\n0 1 0\n"
-        "CELLS 1 4\n3 0 1 2\nCELL_TYPES 1\n5\n"
-    )
+            read_vtk(self.write(tmp_path, data))
 
     @pytest.mark.parametrize(
         "old, new, message",
         [
-            ("POINTS 3", "POINTS abc", "POINTS count 'abc'"),
-            ("POINTS 3", "POINTS -1", "POINTS count '-1'"),
-            ("CELLS 1", "CELLS 1.0", "CELLS count '1.0'"),
-            ("1 0 0", "x 0 0", "non-numeric"),
-            ("3 0 1 2", "3 0 1 x", "non-numeric"),
-            ("3 0 1 2", "3 0 1 99999999999999999999", "out-of-range"),
-            ("3 0 1 2", "3 0 1 7", r"cell 0 .* outside \[0, 3\)"),
-            ("3 0 1 2", "3 0 -1 2", r"cell 0 .* outside \[0, 3\)"),
+            (b"POINTS 3", b"POINTS abc", "POINTS count 'abc'"),
+            (b"POINTS 3", b"POINTS -1", "POINTS count '-1'"),
+            (b"CELLS 1", b"CELLS 1.0", "CELLS count '1.0'"),
+            (CELLS, b"CELLS 1 4\n" + struct.pack(">4i", 3, 0, 1, 2**31 - 1),
+             r"cell 0 .* outside \[0, 3\)"),
+            (CELLS, b"CELLS 1 4\n" + struct.pack(">4i", 3, 0, 1, 7), r"cell 0 .* outside \[0, 3\)"),
+            (CELLS, b"CELLS 1 4\n" + struct.pack(">4i", 3, 0, -1, 2), r"cell 0 .* outside \[0, 3\)"),
         ],
-        ids=["text count", "negative count", "fractional count", "coordinate",
-             "index", "huge index", "index past the end", "negative index"],
+        ids=["text count", "negative count", "fractional count", "huge index",
+             "index past the end", "negative index"],
     )
     def test_malformed_numbers(self, tmp_path, old, new, message):
-        path = tmp_path / "one.vtk"
-        path.write_text(self.ONE_TRIANGLE)
-        read_vtk(path)  # the unmodified file reads
-        path.write_text(self.ONE_TRIANGLE.replace(old, new, 1))
         with pytest.raises(DataError, match=message):
-            read_vtk(path)
+            read_vtk(self.write(tmp_path, self.ONE_TRIANGLE.replace(old, new, 1)))
 
     def test_vector_field_rejected(self, tmp_path):
-        path = tmp_path / "vector.vtk"
-        field = "POINT_DATA 3\nSCALARS v double {}\nLOOKUP_TABLE default\n{}"
-        path.write_text(self.ONE_TRIANGLE + field.format(1, "1 2 3\n"))
-        assert np.array_equal(read_vtk(path)[2]["v"], [1.0, 2.0, 3.0])
-        path.write_text(self.ONE_TRIANGLE + field.format(3, "1 2 3\n4 5 6\n7 8 9\n"))
+        vector = (
+            b"POINT_DATA 3\nSCALARS v double 3\nLOOKUP_TABLE default\n"
+            + struct.pack(">9d", *range(9)) + b"\n"
+        )
         with pytest.raises(DataError, match="'v' .* has other than one component"):
-            read_vtk(path)
+            read_vtk(self.write(tmp_path, self.ONE_TRIANGLE + vector))
 
     def test_trailing_section_rejected(self, tmp_path):
-        path = tmp_path / "trailing.vtk"
-        path.write_text(
-            self.ONE_TRIANGLE
-            + "POINT_DATA 3\nSCALARS v double 1\nLOOKUP_TABLE default\n1 2 3\n"
-            + "VECTORS w double\n1 0 0\n0 1 0\n0 0 1\n"
+        data = (
+            self.ONE_TRIANGLE + self.FIELD
+            + b"VECTORS w double\n" + struct.pack(">9d", 1, 0, 0, 0, 1, 0, 0, 0, 1) + b"\n"
         )
-        with pytest.raises(DataError, match="unexpected 'VECTORS' after the last section"):
-            read_vtk(path)
+        with pytest.raises(DataError, match="90 unexpected bytes after the last section"):
+            read_vtk(self.write(tmp_path, data))
