@@ -14,8 +14,10 @@ config schema can be overridden directly on the command line, for example
 ``mesh`` resolves its domain as ``run`` resolves ``[domain]``: ``--kind``,
 ``--size`` and ``--resolution`` override the preset's domain.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 solver failure,
-4 degeneracy stop (artifacts up to the stop time are still written).
+Exit codes: 0 success, 2 configuration or usage error (an artifact directory
+that cannot be created, or whose ``config.ini`` cannot be written, included),
+3 solver failure, 4 degeneracy stop (artifacts up to the stop time are still
+written).
 """
 
 from __future__ import annotations
@@ -89,11 +91,20 @@ def run_from_config(cfg: RunConfig) -> tuple[int, str]:
 
     Returns the exit status and the artifact directory.  Solver failures
     exit 3; a degeneracy stop exits 4 with artifacts up to the stop time.
+    An artifact directory that cannot be created, or whose ``config.ini``
+    cannot be written, raises :class:`ConfigError`, which the command line
+    maps to exit 2.
     """
     out_dir = cfg.output.directory
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.ini"), "w", newline="\n") as f:
-        f.write(dump_config(cfg))
+    snap_dir = os.path.join(out_dir, "snapshots")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "config.ini"), "w", newline="\n") as f:
+            f.write(dump_config(cfg))
+        if cfg.output.snapshot_stride > 0:
+            os.makedirs(snap_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot write the artifact directory {out_dir!r}: {e}") from e
 
     mesh = build_domain(cfg.domain)
     params = cfg.kinetics_params()
@@ -105,8 +116,6 @@ def run_from_config(cfg: RunConfig) -> tuple[int, str]:
 
     observers = []
     if cfg.output.snapshot_stride > 0:
-        snap_dir = os.path.join(out_dir, "snapshots")
-        os.makedirs(snap_dir, exist_ok=True)
         stride = cfg.output.snapshot_stride
 
         def snapshot(s, mass):

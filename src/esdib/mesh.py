@@ -155,23 +155,30 @@ def _boundary_flags(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     Each directed edge may appear at most once (consistent winding), each
     undirected edge at most twice (manifold).  Undirected edges used once
     are boundary edges.
+
+    One sort serves both checks: an edge's key is its undirected code
+    ``lo * n + hi`` times two, plus one when it runs from ``hi`` to ``lo``.
+    Runs of equal ``key >> 1`` are the uses of one undirected edge, and two
+    equal neighbouring keys are a directed edge used twice.  ``triangles``
+    is the constructor's int64 array, so the keys cannot overflow.
     """
-    u = triangles[:, [0, 1, 2]].ravel().astype(np.int64)
-    v = triangles[:, [1, 2, 0]].ravel().astype(np.int64)
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    undirected = lo * n_nodes + hi
-    codes, counts = np.unique(undirected, return_counts=True)
-    if counts.size and counts.max() > 2:
+    u = triangles.ravel()
+    v = np.roll(triangles, -1, axis=1).ravel()
+    keys = (np.minimum(u, v) * n_nodes + np.maximum(u, v)) * 2 + (u > v)
+    keys.sort()
+    undirected = keys >> 1
+    shared = undirected[1:] == undirected[:-1]  # edge i + 1 is edge i, undirected
+    if (shared[1:] & shared[:-1]).any():
         raise MeshStructureError("non-manifold edge shared by more than two triangles")
-    directed = u * n_nodes + v
-    _, dir_counts = np.unique(directed, return_counts=True)
-    if dir_counts.size and dir_counts.max() > 1:
+    if (keys[1:] == keys[:-1]).any():
         raise MeshStructureError(
             "inconsistent winding: a directed edge is traversed more than once"
         )
+    alone = np.ones(keys.size, dtype=bool)
+    alone[1:] &= ~shared
+    alone[:-1] &= ~shared
     flags = np.zeros(n_nodes, dtype=bool)
-    rim = codes[counts == 1]
+    rim = undirected[alone]
     flags[rim // n_nodes] = True
     flags[rim % n_nodes] = True
     return flags

@@ -15,12 +15,12 @@ One step of the scheme, from time level n to n+1 with step size tau:
 Diffusion is implicit (backward Euler on the moved mesh), reactions and the
 normal motion explicit.  Both linear systems are symmetric positive definite
 and solved by Jacobi-preconditioned conjugate gradients.  Each solve starts
-from the cubic extrapolation ``4 x_n - 6 x_{n-1} + 4 x_{n-2} - x_{n-3}`` of
-the field's last four levels, or from the previous field when that has the
-smaller residual (and always before four levels exist); the earlier levels
-travel with the state as :attr:`SimState.history`.  The stopping rule does not
-depend on the start, so the start moves the fields only within the solver
-tolerance.
+from the quintic extrapolation ``6 x_n - 15 x_{n-1} + 20 x_{n-2}
+- 15 x_{n-3} + 6 x_{n-4} - x_{n-5}`` of the field's last six levels, or from
+zero when that has the smaller residual; before six levels exist it starts
+from the previous field.  The earlier levels travel with the state as
+:attr:`SimState.history`.  The stopping rule does not depend on the start, so
+the start moves the fields only within the solver tolerance.
 
 With ``kappa = 0`` the mesh object is reused unchanged and the same update
 reduces to the classic fixed-surface scheme.  Mass, stiffness and both system
@@ -84,8 +84,8 @@ class SolverConfig:
 
 
 #: Weights of the current and earlier field levels, newest first, in the
-#: extrapolation that starts each solve: cubic, through four levels.
-_PREDICTOR = (4.0, -6.0, 4.0, -1.0)
+#: extrapolation that starts each solve: quintic, through six levels.
+_PREDICTOR = (6.0, -15.0, 20.0, -15.0, 6.0, -1.0)
 #: Earlier ``(eta, theta)`` levels a state carries for the extrapolation.
 HISTORY_LEVELS = len(_PREDICTOR) - 1
 
@@ -94,10 +94,11 @@ HISTORY_LEVELS = len(_PREDICTOR) - 1
 class SimState:
     """Solver state at one time level.
 
-    ``history`` holds up to :data:`HISTORY_LEVELS` earlier ``(eta, theta)``
-    levels, newest first, as the very arrays of the earlier states (no
-    copies).  The solves of the next step start from their extrapolation; a
-    state built by hand starts with none.  Every step returns a state whose
+    ``history`` holds up to :data:`HISTORY_LEVELS` (five) earlier
+    ``(eta, theta)`` levels, newest first, as the very arrays of the earlier
+    states (no copies).  Once all five are there, the solves of the next step
+    start from the quintic extrapolation through them and the current fields;
+    a state built by hand starts with none.  Every step returns a state whose
     history is the input's fields followed by the input's own history, so a
     chain of :func:`step` calls and :func:`run` start every solve alike.
     """
@@ -127,8 +128,16 @@ def solve_spd(
     already satisfies the tolerance is returned unchanged.  Otherwise an
     alternative start ``guess``, when given, replaces ``x0`` if its residual
     norm is smaller; that check costs one matrix-vector product and is not
-    an iteration.  ``diag`` is ``A``'s diagonal when the caller already has
-    it.  ``callback(x)`` is called once per iteration with the iterate.
+    an iteration.  Without ``x0`` the start is zero, whose residual is
+    ``rhs`` and costs no product, so a ``guess`` alone costs one product
+    before the iterations; each iteration costs one more.  ``diag`` is
+    ``A``'s diagonal when the caller already has it.  ``callback(x)`` is
+    called once per iteration with the iterate.
+
+    The updates work in place, in the order and with the roundings of the
+    textbook loop (``x += alpha p``, ``r -= alpha A p``, ``z = r / diag``,
+    ``p = z + beta p``), and the residual norm is ``sqrt(r . r)``, the bits
+    of ``np.linalg.norm``.
 
     Raises
     ------
@@ -152,10 +161,11 @@ def solve_spd(
     if x0 is None:
         x = np.zeros_like(rhs)
         r = rhs.copy()
+        rnorm = bnorm
     else:
         x = np.array(x0, dtype=np.float64)
         r = rhs - A @ x
-    rnorm = float(np.linalg.norm(r))
+        rnorm = float(np.linalg.norm(r))
     if guess is not None and rnorm > tol * bnorm:
         guess = np.asarray(guess, dtype=np.float64)
         r_alt = rhs - A @ guess
@@ -166,19 +176,21 @@ def solve_spd(
         return x
     z = r / diag
     p = z.copy()
+    scaled = np.empty_like(p)
     rz = float(np.dot(r, z))
     for iteration in range(1, maxiter + 1):
         Ap = A @ p
         alpha = rz / float(np.dot(p, Ap))
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=scaled)
+        r -= np.multiply(Ap, alpha, out=scaled)
         if callback is not None:
             callback(x)
-        if float(np.linalg.norm(r)) <= tol * bnorm:
+        if math.sqrt(np.dot(r, r)) <= tol * bnorm:
             return x
-        z = r / diag
+        np.divide(r, diag, out=z)
         rz_next = float(np.dot(r, z))
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise SolverConvergenceError(
         f"conjugate gradients did not converge in {maxiter} iterations "
@@ -208,7 +220,8 @@ def _diffusion_systems(
     built in its place.
     """
     A_eta = assemble_stiffness(mesh, pattern)
-    A_theta = d * A_eta
+    # built from the data, not as ``d * A_eta``, which copies indices and indptr
+    A_theta = csr_matrix((d * A_eta.data, pattern.indices, pattern.indptr), shape=A_eta.shape)
     slots = pattern.diagonal_slots
     A_eta.data[slots] += mass_old.diag / tau
     A_theta.data[slots] += mass_new.diag / tau
@@ -282,13 +295,17 @@ def _advance(
     rhs_theta = (mass.diag * theta) / tau + params.rho * (mass.diag * g_vals)
     (A_eta, diag_eta), (A_theta, diag_theta) = systems
     levels = ((eta, theta), *state.history[:HISTORY_LEVELS])
+    # the extrapolation, once there, is checked only against the zero start,
+    # whose residual costs no product; until then the start is the old field
+    eta_guess = _predict([level[0] for level in levels])
     eta_next = solve_spd(
-        A_eta, rhs_eta, cfg.cg_tol, cfg.cg_maxiter, x0=eta,
-        guess=_predict([level[0] for level in levels]), diag=diag_eta,
+        A_eta, rhs_eta, cfg.cg_tol, cfg.cg_maxiter,
+        x0=eta if eta_guess is None else None, guess=eta_guess, diag=diag_eta,
     )
+    theta_guess = _predict([level[1] for level in levels])
     theta_next = solve_spd(
-        A_theta, rhs_theta, cfg.cg_tol, cfg.cg_maxiter, x0=theta,
-        guess=_predict([level[1] for level in levels]), diag=diag_theta,
+        A_theta, rhs_theta, cfg.cg_tol, cfg.cg_maxiter,
+        x0=theta if theta_guess is None else None, guess=theta_guess, diag=diag_theta,
     )
     _check_finite(state.step_index + 1, eta_next, theta_next)
     next_state = SimState(

@@ -137,6 +137,16 @@ class TestUsageErrors:
     def test_stray_positional(self, tmp_path):
         assert run_main(*quick_run_args(tmp_path / "x", "extra")) == 2
 
+    def test_unwritable_artifact_directory(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub"
+        assert run_main(*quick_run_args(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert str(out) in err
+        assert blocker.read_text() == "not a directory\n"
+
 
 class TestMeshCommand:
     def test_explicit_domain(self, tmp_path):

@@ -86,6 +86,42 @@ class TestConstruction:
                 expected[u] = expected[v] = True
         assert np.array_equal(mesh.boundary_node, expected)
 
+    @staticmethod
+    def two_sort_flags(triangles, n):
+        # the former construction: one np.unique for the undirected edges and
+        # another for the directed ones
+        u = triangles[:, [0, 1, 2]].ravel().astype(np.int64)
+        v = triangles[:, [1, 2, 0]].ravel().astype(np.int64)
+        codes, counts = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_counts=True)
+        assert counts.max() <= 2
+        assert np.unique(u * n + v, return_counts=True)[1].max() == 1
+        flags = np.zeros(n, dtype=bool)
+        rim = codes[counts == 1]
+        flags[rim // n] = True
+        flags[rim % n] = True
+        return flags
+
+    @pytest.mark.parametrize("kind", ["sheet", "sphere", "relabelled"])
+    def test_boundary_flags_match_two_sort_construction(self, kind):
+        if kind == "sphere":
+            mesh = generate_icosphere(1.0, 3)
+        else:
+            mesh = generate_square(2.0, 12)
+        nodes, tri = mesh.nodes, mesh.triangles
+        if kind == "relabelled":
+            # relabel the nodes, shuffle the triangles and rotate each one's vertices
+            rng = np.random.default_rng(11)
+            label = rng.permutation(mesh.n_nodes)
+            nodes = np.empty_like(nodes)
+            nodes[label] = mesh.nodes
+            tri = label[tri][rng.permutation(mesh.n_triangles)]
+            shift = rng.integers(0, 3, len(tri))
+            tri = tri[np.arange(len(tri))[:, None], (np.arange(3) + shift[:, None]) % 3]
+            mesh = SurfaceMesh(nodes, tri)
+        expected = self.two_sort_flags(mesh.triangles, mesh.n_nodes)
+        assert np.array_equal(mesh.boundary_node, expected)
+        assert expected.any() == (kind != "sphere")
+
     def test_closed_surface_has_no_boundary(self):
         assert generate_icosphere(1.0, 1).is_closed()
         assert not generate_square(1.0, 1).is_closed()

@@ -54,7 +54,60 @@ def make_state(mesh, eta, theta, t=0.0):
                     theta=np.asarray(theta, float))
 
 
+def allocating_pcg(A, rhs, tol, x0=None, guess=None):
+    """The conjugate-gradient loop written with allocating updates, as a reference.
+
+    Returns the solution and the iteration count.
+    """
+    bnorm = np.linalg.norm(rhs)
+    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    r = rhs - A @ x
+    rnorm = np.linalg.norm(r)
+    if guess is not None and rnorm > tol * bnorm:
+        r_alt = rhs - A @ guess
+        if np.linalg.norm(r_alt) < rnorm:
+            x, r, rnorm = guess.copy(), r_alt, np.linalg.norm(r_alt)
+    if rnorm <= tol * bnorm:
+        return x, 0
+    diag = A.diagonal()
+    z = r / diag
+    p = z.copy()
+    rz = float(np.dot(r, z))
+    for iteration in range(1, 1000):
+        Ap = A @ p
+        alpha = rz / float(np.dot(p, Ap))
+        x = x + alpha * p
+        r = r - alpha * Ap
+        if float(np.linalg.norm(r)) <= tol * bnorm:
+            return x, iteration
+        z = r / diag
+        rz_next = float(np.dot(r, z))
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    raise AssertionError("reference loop did not converge")
+
+
 class TestSolveSpd:
+    def test_in_place_loop_matches_allocating_loop_bitwise(self):
+        rng = np.random.default_rng(16)
+        for trial in range(6):
+            n = int(rng.integers(20, 120))
+            R = sp.random(n, n, density=0.08, random_state=trial)
+            A = (R @ R.T + sp.diags(rng.uniform(0.5, 3.0, n))).tocsr()
+            exact = rng.standard_normal(n)
+            rhs = A @ exact
+            x0 = exact + rng.standard_normal(n)
+            guess = exact + 1e-3 * rng.standard_normal(n)
+            for tol in (1e-6, 1e-12):
+                for start in ({"x0": x0}, {"guess": guess}, {"x0": x0, "guess": guess},
+                              {"x0": guess, "guess": x0}):
+                    iterations = []
+                    x = solve_spd(A, rhs, tol=tol, callback=iterations.append, **start)
+                    expected, count = allocating_pcg(A, rhs, tol, **start)
+                    assert count > 0
+                    assert len(iterations) == count
+                    assert np.array_equal(x, expected)
+
     def test_diagonal_system_exact_in_one_iteration(self):
         diag = np.array([2.0, 3.0, 4.0, 5.0, 0.5])
         A = sp.diags(diag).tocsr()
@@ -265,7 +318,7 @@ class TestSingleStep:
 
 
 class TestPredictedStart:
-    """Each solve starts from a cubic extrapolation of the last field levels."""
+    """Each solve starts from a quintic extrapolation of the last six field levels."""
 
     @staticmethod
     def preset_sheet(resolution=24):
@@ -275,20 +328,59 @@ class TestPredictedStart:
         fields = initial_condition(mesh, params, amplitude=cfg.amplitude, seed=cfg.seed)
         return make_state(mesh, fields.eta, fields.theta), params, cfg.solver
 
-    def test_step_chain_carries_three_earlier_levels_by_reference(self):
+    def test_step_chain_carries_five_earlier_levels_by_reference(self):
         state, params, cfg = self.preset_sheet(resolution=8)
         assert state.history == ()
         chain = [state]
         for k in range(1, 7):
             chain.append(step(chain[-1], params, cfg))
             levels = chain[-1].history
-            assert len(levels) == min(k, stepper.HISTORY_LEVELS) == min(k, 3)
+            assert len(levels) == min(k, stepper.HISTORY_LEVELS) == min(k, 5)
             for (eta, theta), earlier in zip(levels, reversed(chain[:-1])):
                 assert eta is earlier.eta
                 assert theta is earlier.theta
         final = chain[-1]
         assert final.eta.base is None
         assert final.theta.base is None
+
+    def test_predicted_start_costs_one_product(self, monkeypatch):
+        # before five earlier levels exist a solve starts from the current
+        # field; after, from the extrapolation checked only against zero
+        class CountingMatrix:
+            def __init__(self, A):
+                self.A, self.products = A, 0
+
+            def __matmul__(self, x):
+                self.products += 1
+                return self.A @ x
+
+        original = stepper.solve_spd
+        solves = []
+
+        def counted(A, rhs, *args, **kwargs):
+            counting, iterations = CountingMatrix(A), []
+            kwargs["callback"] = iterations.append
+            result = original(counting, rhs, *args, **kwargs)
+            solves.append((kwargs.get("x0"), kwargs.get("guess"),
+                           counting.products, len(iterations)))
+            return result
+
+        monkeypatch.setattr(stepper, "solve_spd", counted)
+        state, params, cfg = self.preset_sheet(resolution=8)
+        for k in range(8):
+            solves.clear()
+            next_state = step(state, params, cfg)
+            assert len(solves) == 2
+            for (x0, guess, products, iterations), field in zip(
+                solves, (state.eta, state.theta)
+            ):
+                if k < stepper.HISTORY_LEVELS:
+                    assert x0 is field and guess is None
+                else:
+                    assert x0 is None and guess is not None
+                assert iterations > 0
+                assert products == iterations + 1
+            state = next_state
 
     def test_history_cuts_theta_iterations(self, monkeypatch):
         state, params, cfg = self.preset_sheet()
