@@ -47,7 +47,7 @@ for level, tau in ((3, 2e-2), (4, 1e-2), (5, 5e-3)):
 
     radius = float(np.linalg.norm(final.mesh.nodes, axis=1).mean())
     mass = assemble_lumped_mass(final.mesh)
-    theta = mass_integral(mass, final.theta) / mass.total()
+    theta = mass_integral(mass, final.theta) / float(mass.sum())
     print(
         f"level {level}, tau {tau:7.0e}: "
         f"radius err {abs(radius - exact_radius) / exact_radius:.3e}, "

@@ -59,7 +59,6 @@ from .kinetics import (
     initial_condition,
 )
 from .mesh import (
-    LumpedMass,
     MeshQuality,
     StiffnessPattern,
     SurfaceMesh,
@@ -67,6 +66,7 @@ from .mesh import (
     assemble_stiffness,
     compute_node_normals,
     displace_nodes,
+    max_aspect_ratio,
     mesh_quality,
     surface_area,
     triangle_areas,
@@ -96,7 +96,6 @@ __all__ = [
     "ExperimentPreset",
     "FieldPair",
     "KineticsParams",
-    "LumpedMass",
     "MeshQuality",
     "MeshStructureError",
     "ModeError",
@@ -130,6 +129,7 @@ __all__ = [
     "load_config",
     "mass_integral",
     "mass_weighted_increment_norm",
+    "max_aspect_ratio",
     "mesh_quality",
     "read_vtk",
     "run",

@@ -14,10 +14,9 @@ config schema can be overridden directly on the command line, for example
 ``mesh`` resolves its domain as ``run`` resolves ``[domain]``: ``--kind``,
 ``--size`` and ``--resolution`` override the preset's domain.
 
-Exit codes: 0 success, 2 configuration or usage error (an artifact directory
-that cannot be created, or whose ``config.ini`` cannot be written, included),
-3 solver failure, 4 degeneracy stop (artifacts up to the stop time are still
-written).
+Exit codes: 0 success, 2 configuration or usage error (any file or directory
+that cannot be read or written included), 3 solver failure, 4 degeneracy stop
+(artifacts up to the stop time are still written).
 """
 
 from __future__ import annotations
@@ -91,20 +90,14 @@ def run_from_config(cfg: RunConfig) -> tuple[int, str]:
 
     Returns the exit status and the artifact directory.  Solver failures
     exit 3; a degeneracy stop exits 4 with artifacts up to the stop time.
-    An artifact directory that cannot be created, or whose ``config.ini``
-    cannot be written, raises :class:`ConfigError`, which the command line
-    maps to exit 2.
     """
     out_dir = cfg.output.directory
     snap_dir = os.path.join(out_dir, "snapshots")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "config.ini"), "w", newline="\n") as f:
-            f.write(dump_config(cfg))
-        if cfg.output.snapshot_stride > 0:
-            os.makedirs(snap_dir, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot write the artifact directory {out_dir!r}: {e}") from e
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "config.ini"), "w", newline="\n") as f:
+        f.write(dump_config(cfg))
+    if cfg.output.snapshot_stride > 0:
+        os.makedirs(snap_dir, exist_ok=True)
 
     mesh = build_domain(cfg.domain)
     params = cfg.kinetics_params()
@@ -226,7 +219,7 @@ def main(argv=None) -> int:
         if args.command == "mesh":
             return _cmd_mesh(args, extras)
         return _cmd_verify(extras)
-    except ConfigError as e:
+    except (ConfigError, OSError) as e:  # an OSError names the file it failed on
         print(f"esdib: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except EsdibError as e:

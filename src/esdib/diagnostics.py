@@ -33,8 +33,10 @@ def increment_norm(prev: np.ndarray, curr: np.ndarray) -> float:
     return float(np.linalg.norm(curr - prev))
 
 
-def mass_weighted_increment_norm(mass, prev: np.ndarray, curr: np.ndarray) -> float:
-    """Increment norm weighted by the current lumped mass (discrete L2)."""
+def mass_weighted_increment_norm(
+    mass: np.ndarray, prev: np.ndarray, curr: np.ndarray
+) -> float:
+    """Increment norm weighted by the current lumped mass diagonal (discrete L2)."""
     prev = np.asarray(prev)
     curr = np.asarray(curr)
     if prev.shape != curr.shape:
@@ -42,12 +44,12 @@ def mass_weighted_increment_norm(mass, prev: np.ndarray, curr: np.ndarray) -> fl
             f"cannot compare snapshots of shapes {prev.shape} and {curr.shape}"
         )
     diff = curr - prev
-    return float(np.sqrt(np.dot(mass.diag, diff * diff)))
+    return float(np.sqrt(np.dot(mass, diff * diff)))
 
 
-def mass_integral(mass, values: np.ndarray) -> float:
+def mass_integral(mass: np.ndarray, values: np.ndarray) -> float:
     """Discrete surface integral: lumped mass diagonal dotted with nodal values."""
-    return float(np.dot(mass.diag, values))
+    return float(np.dot(mass, values))
 
 
 @dataclass
@@ -90,8 +92,8 @@ class DiagnosticsSeries:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def record(self, state, mass, quality) -> None:
-        """Append one sample computed from a solver state."""
+    def record(self, state, mass: np.ndarray, quality) -> None:
+        """Append one sample from a state, its lumped mass diagonal and its quality."""
         eta = state.eta
         theta = state.theta
         if self._last_eta is None:
@@ -105,7 +107,7 @@ class DiagnosticsSeries:
         self.samples.append(
             DiagnosticsSample(
                 t=float(state.t),
-                area=float(mass.diag.sum()),
+                area=float(mass.sum()),
                 inc_eta_l2=inc,
                 inc_eta_Ml2=inc_m,
                 mass_theta=mass_integral(mass, theta),

@@ -18,8 +18,8 @@ Only this module knows the pass's layout.
 
 The two finite element operators assembled from the pass are
 
-* the lumped mass matrix, diagonal with entry ``sum(area(T) / 3)`` over the
-  triangles incident to each node, and
+* the lumped mass matrix, kept as its diagonal array, with entry
+  ``sum(area(T) / 3)`` over the triangles incident to each node, and
 * the stiffness matrix of the surface Laplacian with per-triangle entries
   ``K_ij = dot(e_i, e_j) / (4 A)`` where ``e_i`` is the edge opposite vertex
   ``i`` (the classic cotangent weights, written via in-plane P1 gradients).
@@ -297,21 +297,12 @@ def surface_area(mesh: SurfaceMesh) -> float:
     return float(triangle_areas(mesh).sum())
 
 
-@dataclass(frozen=True)
-class LumpedMass:
-    """Diagonal of the lumped mass matrix; ``diag.sum()`` equals the surface area."""
-
-    diag: np.ndarray
-
-    def total(self) -> float:
-        return float(self.diag.sum())
-
-
 def assemble_lumped_mass(
     mesh: SurfaceMesh, pattern: StiffnessPattern | None = None
-) -> LumpedMass:
+) -> np.ndarray:
     """Lumped mass diagonal: each triangle spreads a third of its area to its nodes.
 
+    Returns the (n_nodes,) diagonal itself, which sums to the surface area.
     ``pattern`` is built when omitted; it raises :class:`MeshStructureError`
     for a node in no triangle, whose zero mass would make the systems singular.
     """
@@ -319,7 +310,7 @@ def assemble_lumped_mass(
         pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
     areas = triangle_areas(mesh)
     _reject_zero_area(areas)
-    return LumpedMass(diag=pattern.incidence @ (areas / 3.0))
+    return pattern.incidence @ (areas / 3.0)
 
 
 #: The row of ``_TriangleGeometry.dots`` in entry ``3 a + b`` of a local block.
@@ -494,45 +485,46 @@ def displace_nodes(mesh: SurfaceMesh, displacement) -> SurfaceMesh:
 
 @dataclass(frozen=True)
 class MeshQuality:
-    """Worst-case triangle shape metrics of a mesh.
-
-    ``max_aspect_ratio`` is longest edge over twice the inradius, scaled so
-    an equilateral triangle scores exactly 1.
-    """
+    """Worst-case triangle shape metrics that the degeneracy stop and the samples read."""
 
     min_angle_deg: float
     min_area: float
-    max_aspect_ratio: float
 
 
 def mesh_quality(mesh: SurfaceMesh) -> MeshQuality:
-    """Minimum interior angle, minimum area, and maximum aspect ratio.
+    """Minimum interior angle and minimum area.
 
-    Degenerate triangles report a zero angle and an infinite aspect ratio
-    rather than NaN, so threshold checks stay well defined while the mesh
-    collapses.
+    Degenerate triangles report a zero angle rather than NaN, so threshold
+    checks stay well defined while the mesh collapses.
     """
     geometry = _geometry(mesh)
-    areas = 0.5 * geometry.doubled
+    min_area = float(0.5 * geometry.doubled.min())
+    if not min_area > 0.0:  # a zero or NaN area
+        return MeshQuality(min_angle_deg=0.0, min_area=min_area)
     d00, d01, d02, d11, d12, d22 = geometry.dots
     l0, l1, l2 = np.sqrt(d00), np.sqrt(d11), np.sqrt(d22)
-    longest = np.maximum(np.maximum(l0, l1), l2)
-    perimeter = (l0 + l1) + l2  # left to right, the order of numpy's row sum
     with np.errstate(divide="ignore", invalid="ignore"):
         # angle at vertex i sits between the two edges that are not opposite
         # it; the smallest angle has the largest cosine, as arccos is monotone,
         # so one arccos of the mesh's largest cosine gives the minimum angle
         largest = np.maximum(-d12 / (l1 * l2), -d02 / (l2 * l0))
         largest = np.maximum(largest, -d01 / (l0 * l1))
+    min_angle = np.degrees(np.arccos(np.clip(largest.max(), -1.0, 1.0)))
+    return MeshQuality(min_angle_deg=float(min_angle), min_area=min_area)
+
+
+def max_aspect_ratio(mesh: SurfaceMesh) -> float:
+    """Largest triangle aspect ratio: longest edge over twice the inradius.
+
+    Scaled so an equilateral triangle scores exactly 1; a degenerate
+    triangle scores infinity rather than NaN.
+    """
+    geometry = _geometry(mesh)
+    areas = 0.5 * geometry.doubled
+    d00, _, _, d11, _, d22 = geometry.dots
+    l0, l1, l2 = np.sqrt(d00), np.sqrt(d11), np.sqrt(d22)
+    longest = np.maximum(np.maximum(l0, l1), l2)
+    perimeter = (l0 + l1) + l2  # left to right, the order of numpy's row sum
+    with np.errstate(divide="ignore", invalid="ignore"):
         aspect = longest * perimeter / (4.0 * np.sqrt(3.0) * areas)
-    positive = areas > 0.0
-    if positive.all():  # false for a zero or NaN area
-        min_angle = np.degrees(np.arccos(np.clip(largest.max(), -1.0, 1.0)))
-    else:
-        min_angle = 0.0
-    aspect = np.where(positive, aspect, np.inf)
-    return MeshQuality(
-        min_angle_deg=float(min_angle),
-        min_area=float(areas.min(initial=np.inf)),
-        max_aspect_ratio=float(aspect.max(initial=0.0)),
-    )
+    return float(np.where(areas > 0.0, aspect, np.inf).max())

@@ -41,8 +41,8 @@ from .diagnostics import DiagnosticsSeries
 from .errors import DegeneracyStop, NumericsError, SolverConvergenceError
 from .kinetics import KineticsParams, eval_f, eval_g
 from .mesh import (
-    LumpedMass, MeshQuality, StiffnessPattern, SurfaceMesh, assemble_lumped_mass,
-    assemble_stiffness, compute_node_normals, displace_nodes, mesh_quality,
+    MeshQuality, StiffnessPattern, SurfaceMesh, assemble_lumped_mass, assemble_stiffness,
+    compute_node_normals, displace_nodes, mesh_quality,
 )
 
 
@@ -208,23 +208,23 @@ _System = tuple[csr_matrix, np.ndarray]
 def _diffusion_systems(
     mesh: SurfaceMesh,
     pattern: StiffnessPattern,
-    mass_old: LumpedMass,
-    mass_new: LumpedMass,
+    mass_old: np.ndarray,
+    mass_new: np.ndarray,
     tau: float,
     d: float,
 ) -> tuple[_System, _System]:
     """The eta and theta systems on ``mesh``, in the stiffness's pattern.
 
     ``K + diag(mass_old) / tau`` and ``d K + diag(mass_new) / tau``, each with
-    its diagonal; the stiffness ``K`` itself is not kept: the eta system is
-    built in its place.
+    its diagonal, from the lumped mass diagonals; the stiffness ``K`` itself
+    is not kept: the eta system is built in its place.
     """
     A_eta = assemble_stiffness(mesh, pattern)
     # built from the data, not as ``d * A_eta``, which copies indices and indptr
     A_theta = csr_matrix((d * A_eta.data, pattern.indices, pattern.indptr), shape=A_eta.shape)
     slots = pattern.diagonal_slots
-    A_eta.data[slots] += mass_old.diag / tau
-    A_theta.data[slots] += mass_new.diag / tau
+    A_eta.data[slots] += mass_old / tau
+    A_theta.data[slots] += mass_new / tau
     return (A_eta, A_eta.data[slots]), (A_theta, A_theta.data[slots])
 
 
@@ -246,10 +246,10 @@ def _check_finite(state_index: int, *arrays: np.ndarray) -> None:
             )
 
 
-def _resolve_min_area(cfg: SolverConfig, mesh: SurfaceMesh, mass: LumpedMass) -> float:
+def _resolve_min_area(cfg: SolverConfig, mesh: SurfaceMesh, mass: np.ndarray) -> float:
     if cfg.min_triangle_area is not None:
         return cfg.min_triangle_area
-    return 1e-12 * (mass.total() / mesh.n_triangles)
+    return 1e-12 * (float(mass.sum()) / mesh.n_triangles)
 
 
 def _advance(
@@ -257,15 +257,15 @@ def _advance(
     params: KineticsParams,
     cfg: SolverConfig,
     pattern: StiffnessPattern,
-    mass: LumpedMass,
+    mass: np.ndarray,
     min_area: float,
     systems: tuple[_System, _System] | None = None,
-) -> tuple[SimState, LumpedMass, MeshQuality | None]:
+) -> tuple[SimState, np.ndarray, MeshQuality | None]:
     """One step given precomputed pattern, old mass, and resolved threshold.
 
-    Returns the new state with its lumped mass and the quality of its moved
-    mesh; the quality is ``None`` at ``kappa = 0``, where the mesh is the
-    input's.  ``systems`` are a frozen surface's system matrices (see
+    Returns the new state with its lumped mass diagonal and the quality of
+    its moved mesh; the quality is ``None`` at ``kappa = 0``, where the mesh
+    is the input's.  ``systems`` are a frozen surface's system matrices (see
     :func:`_diffusion_systems`); they are built here when omitted.
     """
     tau = cfg.tau
@@ -291,8 +291,8 @@ def _advance(
     eta, theta = state.eta, state.theta
     f_vals = eval_f(eta, theta, params)
     g_vals = eval_g(eta, theta, params)
-    rhs_eta = (mass.diag * eta) / tau + params.rho * (mass.diag * f_vals)
-    rhs_theta = (mass.diag * theta) / tau + params.rho * (mass.diag * g_vals)
+    rhs_eta = (mass * eta) / tau + params.rho * (mass * f_vals)
+    rhs_theta = (mass * theta) / tau + params.rho * (mass * g_vals)
     (A_eta, diag_eta), (A_theta, diag_theta) = systems
     levels = ((eta, theta), *state.history[:HISTORY_LEVELS])
     # the extrapolation, once there, is checked only against the zero start,
@@ -359,17 +359,17 @@ def run(
     initial: SimState,
     params: KineticsParams,
     cfg: SolverConfig,
-    observers: Sequence[Callable[[SimState, LumpedMass], None]] = (),
+    observers: Sequence[Callable[[SimState, np.ndarray], None]] = (),
     stride: int = 10,
 ) -> tuple[SimState, DiagnosticsSeries]:
     """Advance from the initial state to time T, sampling diagnostics.
 
     Samples are recorded at step 0, every ``stride`` steps, and at the final
     step; observers are called at each sample with the state and the current
-    lumped mass.  A degeneracy stop ends the run cleanly: the last valid
-    state is returned and the series is flagged as stopped.  On a frozen
-    surface (``kappa = 0``) the system matrices and mesh quality are built
-    once, before the first step.
+    lumped mass diagonal.  A degeneracy stop ends the run cleanly: the last
+    valid state is returned and the series is flagged as stopped.  On a
+    frozen surface (``kappa = 0``) the system matrices and mesh quality are
+    built once, before the first step.
 
     Returns
     -------
@@ -394,7 +394,7 @@ def run(
     if not evolving:
         systems = _diffusion_systems(initial.mesh, pattern, mass, mass, cfg.tau, params.d)
 
-    def sample(state: SimState, current_mass: LumpedMass, quality: MeshQuality) -> None:
+    def sample(state: SimState, current_mass: np.ndarray, quality: MeshQuality) -> None:
         series.record(state, current_mass, quality)
         for obs in observers:
             obs(state, current_mass)

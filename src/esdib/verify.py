@@ -72,7 +72,7 @@ def _check_element_operators() -> CheckResult:
     stiff = assemble_stiffness(mesh).toarray()
     hand_mass = np.full(3, 1.0 / 6.0)
     hand_stiff = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
-    ok = np.array_equal(mass.diag, hand_mass) and np.array_equal(stiff, hand_stiff)
+    ok = np.array_equal(mass, hand_mass) and np.array_equal(stiff, hand_stiff)
     return CheckResult(
         "element operators vs hand-computed matrices", ok,
         "unit right triangle: mass diag 1/6, stiffness [[1,-1/2,-1/2],...]",

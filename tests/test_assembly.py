@@ -52,8 +52,8 @@ def cotangent_stiffness_dense(mesh):
 class TestElementOracles:
     def test_reference_triangle_mass(self):
         mass = assemble_lumped_mass(reference_triangle())
-        assert np.array_equal(mass.diag, np.array([1 / 6, 1 / 6, 1 / 6]))
-        assert mass.total() == pytest.approx(0.5, rel=1e-15)
+        assert np.array_equal(mass, np.array([1 / 6, 1 / 6, 1 / 6]))
+        assert mass.sum() == pytest.approx(0.5, rel=1e-15)
 
     def test_reference_triangle_stiffness(self):
         K = assemble_stiffness(reference_triangle()).toarray()
@@ -76,18 +76,23 @@ class TestElementOracles:
     def test_two_triangle_square_mass(self):
         mesh = generate_square(1.0, 1)
         mass = assemble_lumped_mass(mesh)
-        assert np.max(np.abs(mass.diag - np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3]))) <= 1e-16
+        assert np.max(np.abs(mass - np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3]))) <= 1e-16
 
 
 class TestGlobalProperties:
+    def test_mass_is_the_diagonal_array(self, bumpy_square):
+        mass = assemble_lumped_mass(bumpy_square)
+        assert type(mass) is np.ndarray
+        assert mass.shape == (bumpy_square.n_nodes,) and mass.dtype == np.float64
+
     def test_mass_total_equals_area(self, bumpy_square):
         mass = assemble_lumped_mass(bumpy_square)
-        assert mass.total() == pytest.approx(surface_area(bumpy_square), rel=1e-12)
+        assert mass.sum() == pytest.approx(surface_area(bumpy_square), rel=1e-12)
 
     def test_mass_total_equals_area_sphere(self):
         mesh = generate_icosphere(2.0, 2)
         mass = assemble_lumped_mass(mesh)
-        assert mass.total() == pytest.approx(surface_area(mesh), rel=1e-12)
+        assert mass.sum() == pytest.approx(surface_area(mesh), rel=1e-12)
 
     @pytest.mark.parametrize("builder", ["bumpy", "sphere"])
     def test_rows_sum_to_zero(self, builder, bumpy_square):
@@ -141,8 +146,8 @@ class TestGeometricInvariance:
         K1 = assemble_stiffness(moved)
         scale = np.max(np.abs(K0.data))
         assert np.max(np.abs(K0.data - K1.data)) <= 1e-12 * scale
-        m0 = assemble_lumped_mass(bumpy_square).diag
-        m1 = assemble_lumped_mass(moved).diag
+        m0 = assemble_lumped_mass(bumpy_square)
+        m1 = assemble_lumped_mass(moved)
         assert np.max(np.abs(m0 - m1)) <= 1e-12 * np.max(m0)
 
     def test_power_of_two_dilation_is_exact(self, bumpy_square):
@@ -150,8 +155,8 @@ class TestGeometricInvariance:
         K0 = assemble_stiffness(bumpy_square)
         K1 = assemble_stiffness(scaled)
         assert np.array_equal(K0.data, K1.data)
-        m0 = assemble_lumped_mass(bumpy_square).diag
-        m1 = assemble_lumped_mass(scaled).diag
+        m0 = assemble_lumped_mass(bumpy_square)
+        m1 = assemble_lumped_mass(scaled)
         assert np.array_equal(4.0 * m0, m1)
 
     def test_general_dilation(self, bumpy_square):
@@ -160,8 +165,8 @@ class TestGeometricInvariance:
         K0 = assemble_stiffness(bumpy_square)
         K1 = assemble_stiffness(scaled)
         assert np.max(np.abs(K0.data - K1.data)) <= 1e-12 * np.max(np.abs(K0.data))
-        m0 = assemble_lumped_mass(bumpy_square).diag
-        m1 = assemble_lumped_mass(scaled).diag
+        m0 = assemble_lumped_mass(bumpy_square)
+        m1 = assemble_lumped_mass(scaled)
         assert np.max(np.abs(s * s * m0 - m1)) <= 1e-12 * np.max(m1)
 
 
@@ -173,8 +178,8 @@ class TestPatternReuse:
         assert np.array_equal(K_pat.data, K_auto.data)
         assert np.array_equal(K_pat.indices, K_auto.indices)
         assert np.array_equal(K_pat.indptr, K_auto.indptr)
-        assert np.array_equal(assemble_lumped_mass(bumpy_square, pattern).diag,
-                              assemble_lumped_mass(bumpy_square).diag)
+        assert np.array_equal(assemble_lumped_mass(bumpy_square, pattern),
+                              assemble_lumped_mass(bumpy_square))
         assert np.array_equal(compute_node_normals(bumpy_square, pattern),
                               compute_node_normals(bumpy_square))
 
@@ -307,7 +312,7 @@ class TestCachedGeometry:
         mesh = geometry_mesh
         pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
         # the mass computes the pass, the stiffness reads it from the cache
-        assert np.array_equal(assemble_lumped_mass(mesh).diag, direct_lumped_mass(mesh))
+        assert np.array_equal(assemble_lumped_mass(mesh), direct_lumped_mass(mesh))
         K = assemble_stiffness(mesh, pattern)
         assert np.array_equal(K.indptr, pattern.indptr)
         assert np.array_equal(K.data, direct_stiffness(mesh, pattern))

@@ -147,6 +147,32 @@ class TestUsageErrors:
         assert str(out) in err
         assert blocker.read_text() == "not a directory\n"
 
+    def test_late_artifact_write_failure(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        (out / "final.vtk").mkdir(parents=True)  # the run succeeds, its last writes fail
+        assert run_main(*quick_run_args(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert str(out / "final.vtk") in err
+        assert (out / "diagnostics.csv").exists()
+
+    def test_mesh_output_under_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        target = blocker / "sub.vtk"
+        assert run_main("mesh", "--preset", "4", "-o", str(target)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert str(target) in err
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert run_main("run", "--config", str(tmp_path), "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert str(tmp_path) in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestMeshCommand:
     def test_explicit_domain(self, tmp_path):

@@ -7,6 +7,7 @@ from esdib import (
     displace_nodes,
     generate_icosphere,
     generate_square,
+    max_aspect_ratio,
     mesh_quality,
     surface_area,
     triangle_areas,
@@ -251,14 +252,14 @@ class TestQuality:
         mesh = single_triangle(((0, 0, 0), (1, 0, 0), (0.5, np.sqrt(3) / 2, 0)))
         q = mesh_quality(mesh)
         assert q.min_angle_deg == pytest.approx(60.0, abs=1e-9)
-        assert q.max_aspect_ratio == pytest.approx(1.0, abs=1e-12)
+        assert max_aspect_ratio(mesh) == pytest.approx(1.0, abs=1e-12)
 
     def test_near_collinear_triangle_reports_tiny_area(self):
         mesh = single_triangle(((0, 0, 0), (1, 0, 0), (0.5, 1e-10, 0)))
         q = mesh_quality(mesh)
         assert q.min_area < 1e-10
         assert q.min_angle_deg < 1e-6
-        assert q.max_aspect_ratio > 1e6
+        assert max_aspect_ratio(mesh) > 1e6
 
     def test_collapsed_triangle_does_not_produce_nan(self):
         # a displaced mesh may contain an exactly collapsed triangle
@@ -269,7 +270,7 @@ class TestQuality:
         q = mesh_quality(collapsed)
         assert q.min_area == 0.0
         assert q.min_angle_deg == 0.0
-        assert np.isinf(q.max_aspect_ratio)
+        assert np.isinf(max_aspect_ratio(collapsed))
 
 
 # Reference formulas that each gather ``nodes[triangles]`` and compute their
@@ -297,6 +298,7 @@ def direct_node_normals(mesh):
 
 
 def direct_mesh_quality(mesh):
+    """The quality and the largest aspect ratio, as a pair."""
     p = mesh.nodes[mesh.triangles]
     e0 = p[:, 2] - p[:, 1]
     e1 = p[:, 0] - p[:, 2]
@@ -322,11 +324,11 @@ def direct_mesh_quality(mesh):
         aspect = longest * perimeter / (4.0 * np.sqrt(3.0) * areas)
     min_angles = np.where(areas > 0.0, angles.min(axis=1), 0.0)
     aspect = np.where(areas > 0.0, aspect, np.inf)
-    return MeshQuality(
+    quality = MeshQuality(
         min_angle_deg=float(min_angles.min(initial=np.inf)),
         min_area=float(areas.min(initial=np.inf)),
-        max_aspect_ratio=float(aspect.max(initial=0.0)),
     )
+    return quality, float(aspect.max(initial=0.0))
 
 
 def row_major_geometry_pass(nodes, triangles):
@@ -357,7 +359,7 @@ class TestCachedGeometry:
     def test_matches_direct_formulas_bitwise(self, geometry_mesh):
         mesh = geometry_mesh
         # quality first: it computes the pass the other queries then reuse
-        assert mesh_quality(mesh) == direct_mesh_quality(mesh)
+        assert (mesh_quality(mesh), max_aspect_ratio(mesh)) == direct_mesh_quality(mesh)
         assert np.array_equal(compute_node_normals(mesh), direct_node_normals(mesh))
         areas = direct_triangle_areas(mesh.nodes, mesh.triangles)
         assert np.array_equal(triangle_areas(mesh), areas)
@@ -379,12 +381,13 @@ class TestCachedGeometry:
         thin = rng.uniform(1e-3, 1e3, (200, 1, 1)) * (thin @ rotations)
         for points in np.concatenate([shapeless, thin]):
             mesh = single_triangle(points)
-            assert mesh_quality(mesh) == direct_mesh_quality(mesh)
+            assert (mesh_quality(mesh), max_aspect_ratio(mesh)) == direct_mesh_quality(mesh)
 
     def test_one_pass_per_mesh(self, monkeypatch):
         passes = count_geometry_passes(monkeypatch)
         mesh = generate_square(1.0, 4)
         mesh_quality(mesh)
+        max_aspect_ratio(mesh)
         compute_node_normals(mesh)
         triangle_areas(mesh)
         surface_area(mesh)

@@ -430,10 +430,10 @@ class TestConservationAndStability:
         theta = 0.5 + 0.2 * rng.uniform(-1.0, 1.0, mesh.n_nodes)
         state = make_state(mesh, np.zeros(mesh.n_nodes), theta)
         mass = assemble_lumped_mass(mesh)
-        total0 = float(mass.diag @ theta)
+        total0 = float(mass @ theta)
         cfg = SolverConfig(tau=1e-2, T=0.5, cg_tol=1e-12)
         state, _ = run(state, params, cfg)
-        total1 = float(mass.diag @ state.theta)
+        total1 = float(mass @ state.theta)
         assert abs(total1 - total0) <= 1e-8 * abs(total0)
 
     def test_coverage_mass_conserved_growing_surface(self):
@@ -442,14 +442,14 @@ class TestConservationAndStability:
         state = make_state(
             mesh, np.ones(mesh.n_nodes), np.full(mesh.n_nodes, 0.5)
         )
-        total0 = float(assemble_lumped_mass(mesh).diag @ state.theta)
+        total0 = float(assemble_lumped_mass(mesh) @ state.theta)
         totals = []
         cfg = SolverConfig(tau=1e-2, T=0.2, cg_tol=1e-12)
         state, _ = run(
             state,
             params,
             cfg,
-            observers=[lambda s, m: totals.append(float(m.diag @ s.theta))],
+            observers=[lambda s, m: totals.append(float(m @ s.theta))],
             stride=5,
         )
         assert max(abs(t - total0) for t in totals) <= 1e-8 * abs(total0)
@@ -464,7 +464,7 @@ class TestConservationAndStability:
         area1 = surface_area(state.mesh)
         assert area1 > area0
         mass1 = assemble_lumped_mass(state.mesh)
-        mean_theta = float(mass1.diag @ state.theta) / area1
+        mean_theta = float(mass1 @ state.theta) / area1
         assert mean_theta == pytest.approx(0.5 * area0 / area1, rel=1e-6)
         assert np.max(np.abs(state.theta - mean_theta)) <= 1e-3
 
@@ -522,11 +522,22 @@ class TestRun:
             self.state,
             self.params,
             cfg,
-            observers=[lambda s, m: seen.append((s.step_index, m.total()))],
+            observers=[lambda s, m: seen.append((s.step_index, m.sum()))],
             stride=2,
         )
         assert [k for k, _ in seen] == [0, 2, 4, 5]
         assert all(total > 0.0 for _, total in seen)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.2])
+    def test_observers_receive_the_mass_diagonal(self, kappa):
+        seen = []
+        params = default_params(B=30.0, C=3.0, rho=2.0, kappa=kappa)
+        cfg = SolverConfig(tau=0.1, T=0.3)
+        run(self.state, params, cfg, observers=[lambda s, m: seen.append((s, m))], stride=1)
+        assert [s.step_index for s, _ in seen] == [0, 1, 2, 3]
+        for state, mass in seen:
+            assert type(mass) is np.ndarray and mass.shape == (state.mesh.n_nodes,)
+            assert np.array_equal(mass, assemble_lumped_mass(state.mesh))
 
     def test_bad_stride_rejected(self):
         with pytest.raises(ValueError):
