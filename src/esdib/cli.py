@@ -8,11 +8,12 @@ Three subcommands::
 
 ``run`` writes an artifact directory: the resolved configuration, the
 diagnostics CSV, the final state as VTK (plus OBJ on request), periodic
-snapshots when enabled, and a JSON summary.  Any ``section.key`` from the
-config schema can be overridden directly on the command line, for example
-``--solver.tau 0.005`` or ``--domain.resolution 64``.
-``mesh`` resolves its domain as ``run`` resolves ``[domain]``: ``--kind``,
-``--size`` and ``--resolution`` override the preset's domain.
+snapshots when enabled, and a JSON summary.  Every ``section.key`` of the
+config key table is an option of ``run``, for example ``--solver.tau 0.005``;
+``esdib run --help`` lists them all.  ``mesh`` takes the ``[domain]`` keys as
+``--kind``, ``--size`` and ``--resolution``, on top of the preset's domain.
+Abbreviated options are rejected.  A value that starts with ``-`` and is not
+a plain decimal (``-1e2``, ``-x``) needs the ``--section.key=value`` form.
 
 Exit codes: 0 success, 2 configuration or usage error (any file or directory
 that cannot be read or written included), 3 solver failure, 4 degeneracy stop
@@ -26,7 +27,7 @@ import json
 import os
 import sys
 
-from .config import RunConfig, dump_config, load_config, load_domain
+from .config import CONFIG_KEYS, RunConfig, dump_config, load_config, load_domain
 from .errors import ConfigError, EsdibError
 from .kinetics import initial_condition
 from .meshgen import build_domain
@@ -39,50 +40,44 @@ EXIT_SOLVER = 3
 EXIT_DEGENERACY = 4
 
 
+def _key_options(parser: argparse.ArgumentParser, section: str | None = None) -> None:
+    """Add ``--section.key`` for every config key, or ``--key`` for one section's keys."""
+    for dotted in CONFIG_KEYS:
+        owner, key = dotted.split(".")
+        if section in (None, owner):
+            flag = dotted if section is None else key
+            parser.add_argument(
+                f"--{flag}", dest=dotted, metavar=key.upper(), default=argparse.SUPPRESS
+            )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esdib",
         description="reaction-diffusion electrodeposition on evolving surfaces",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a simulation and write artifacts")
+    p_run = sub.add_parser("run", help="run a simulation and write artifacts", allow_abbrev=False)
     p_run.add_argument("--preset", type=int, help="canonical experiment id (1-6)")
     p_run.add_argument("--config", help="INI config file")
     p_run.add_argument("--out", help="artifact directory (overrides output.directory)")
+    _key_options(p_run)
 
-    p_mesh = sub.add_parser("mesh", help="generate a domain mesh and export it")
+    p_mesh = sub.add_parser("mesh", help="generate a domain mesh and export it", allow_abbrev=False)
     p_mesh.add_argument("--preset", type=int, help="take the domain of this preset")
-    p_mesh.add_argument("--kind", choices=("square", "sphere"))
-    p_mesh.add_argument("--size", type=float, help="edge length or radius")
-    p_mesh.add_argument("--resolution", type=int)
+    _key_options(p_mesh, "domain")
     p_mesh.add_argument("-o", "--output", required=True, help="VTK output path")
     p_mesh.add_argument("--obj", help="also write geometry as OBJ to this path")
 
-    sub.add_parser("verify", help="run the built-in verification battery")
+    sub.add_parser("verify", help="run the built-in verification battery", allow_abbrev=False)
     return parser
 
 
-def _collect_overrides(extras: list[str]) -> dict[str, str]:
-    """Turn leftover ``--section.key value`` (or ``--section.key=value``) pairs into a dict."""
-    overrides: dict[str, str] = {}
-    i = 0
-    while i < len(extras):
-        token = extras[i]
-        if not token.startswith("--") or "." not in token:
-            raise ConfigError(f"unrecognised argument {token!r}")
-        body = token[2:]
-        if "=" in body:
-            dotted, value = body.split("=", 1)
-            i += 1
-        else:
-            dotted = body
-            if i + 1 >= len(extras):
-                raise ConfigError(f"override {token!r} is missing a value")
-            value = extras[i + 1]
-            i += 2
-        overrides[dotted] = value
-    return overrides
+def _overrides(args: argparse.Namespace) -> dict[str, str]:
+    """The config keys given on the command line, as ``section.key`` -> text."""
+    return {dest: value for dest, value in vars(args).items() if "." in dest}
 
 
 def run_from_config(cfg: RunConfig) -> tuple[int, str]:
@@ -162,8 +157,8 @@ def run_from_config(cfg: RunConfig) -> tuple[int, str]:
     return EXIT_OK, out_dir
 
 
-def _cmd_run(args, extras) -> int:
-    overrides = _collect_overrides(extras)
+def _cmd_run(args) -> int:
+    overrides = _overrides(args)
     if args.preset is None and args.config is None:
         raise ConfigError("run needs --preset and/or --config")
     if args.out is not None:
@@ -174,14 +169,8 @@ def _cmd_run(args, extras) -> int:
     return status
 
 
-def _cmd_mesh(args, extras) -> int:
-    if extras:
-        raise ConfigError(f"unrecognised argument {extras[0]!r}")
-    flags = {"kind": args.kind, "size": args.size, "resolution": args.resolution}
-    spec = load_domain(
-        args.preset,
-        {f"domain.{key}": value for key, value in flags.items() if value is not None},
-    )
+def _cmd_mesh(args) -> int:
+    spec = load_domain(args.preset, _overrides(args))
     mesh = build_domain(spec)
     write_vtk(args.output, mesh, title=f"{spec.kind} size {spec.size}")
     if args.obj:
@@ -193,11 +182,9 @@ def _cmd_mesh(args, extras) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(extras) -> int:
+def _cmd_verify() -> int:
     from .verify import run_verification
 
-    if extras:
-        raise ConfigError(f"unrecognised argument {extras[0]!r}")
     results = run_verification()
     for r in results:
         mark = "ok  " if r.passed else "FAIL"
@@ -210,15 +197,15 @@ def _cmd_verify(extras) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args, extras = parser.parse_known_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
         if args.command == "run":
-            return _cmd_run(args, extras)
+            return _cmd_run(args)
         if args.command == "mesh":
-            return _cmd_mesh(args, extras)
-        return _cmd_verify(extras)
+            return _cmd_mesh(args)
+        return _cmd_verify()
     except (ConfigError, OSError) as e:  # an OSError names the file it failed on
         print(f"esdib: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,9 +22,10 @@ overrides.  The package defaults are the keyword defaults of
 :class:`~esdib.stepper.SolverConfig` (except the required ``T``) and
 :class:`OutputConfig`; a preset supplies kind, size, B, C, rho and T.  The
 merged layers are parsed through one key table, :data:`_SCHEMA`, which also
-rejects unknown sections and keys and orders :func:`dump_config`.  Every
-validation error names the offending ``section.key``.  :func:`load_domain`
-resolves the ``[domain]`` section alone the same way, for ``esdib mesh``.
+rejects unknown sections and keys, orders :func:`dump_config` and, as
+:data:`CONFIG_KEYS`, names the command-line options.  Every validation error
+names the offending ``section.key``.  :func:`load_domain` resolves the
+``[domain]`` section alone the same way, for ``esdib mesh``.
 """
 
 from __future__ import annotations
@@ -127,6 +128,10 @@ _SCHEMA = {
         "snapshot_stride": _integer(0), "write_obj": _boolean,
     },
 }
+
+#: every ``section.key`` of :data:`_SCHEMA`, in its order; the command line
+#: generates one option per key from it
+CONFIG_KEYS = tuple(f"{section}.{key}" for section, keys in _SCHEMA.items() for key in keys)
 
 
 def _render(value) -> str:

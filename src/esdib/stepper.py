@@ -50,9 +50,11 @@ from .mesh import (
 class SolverConfig:
     """Numerical controls of one run.
 
-    ``min_triangle_area=None`` resolves to ``1e-12`` times the mean triangle
-    area of the initial mesh; together with ``min_angle_deg`` it defines the
-    degeneracy stop that ends a run before elements collapse.
+    ``T`` is the time span of a run from the initial state's ``t``, covered
+    by :attr:`n_steps` steps of ``tau``.  ``min_triangle_area=None`` resolves
+    to ``1e-12`` times the mean triangle area of the initial mesh; together
+    with ``min_angle_deg`` it defines the degeneracy stop that ends a run
+    before elements collapse.
     """
 
     tau: float = 1e-2
@@ -79,7 +81,7 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        """Number of steps covering [0, T]; T is trusted over float ratio noise."""
+        """Number of steps covering the span T; T is trusted over float ratio noise."""
         return max(0, math.ceil(self.T / self.tau - 1e-9))
 
 
@@ -362,14 +364,15 @@ def run(
     observers: Sequence[Callable[[SimState, np.ndarray], None]] = (),
     stride: int = 10,
 ) -> tuple[SimState, DiagnosticsSeries]:
-    """Advance from the initial state to time T, sampling diagnostics.
+    """Advance the initial state by the time span ``cfg.T``, sampling diagnostics.
 
-    Samples are recorded at step 0, every ``stride`` steps, and at the final
-    step; observers are called at each sample with the state and the current
-    lumped mass diagonal.  A degeneracy stop ends the run cleanly: the last
-    valid state is returned and the series is flagged as stopped.  On a
-    frozen surface (``kappa = 0``) the system matrices and mesh quality are
-    built once, before the first step.
+    The run takes ``cfg.n_steps`` steps of ``tau`` from ``initial.t``, not up
+    to an absolute time ``T``.  Samples are recorded at step 0, every
+    ``stride`` steps, and at the final step; observers are called at each
+    sample with the state and the current lumped mass diagonal.  A degeneracy
+    stop ends the run cleanly: the last valid state is returned and the series
+    is flagged as stopped.  On a frozen surface (``kappa = 0``) the system
+    matrices and mesh quality are built once, before the first step.
 
     Returns
     -------

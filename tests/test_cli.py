@@ -3,12 +3,15 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+import esdib.cli
 from esdib import SurfaceMesh, read_vtk
 from esdib.cli import main
+from esdib.config import CONFIG_KEYS, dump_config, load_config, load_domain
 from esdib.diagnostics import CSV_COLUMNS
 
 
@@ -166,12 +169,94 @@ class TestUsageErrors:
         assert str(target) in err
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--preset", "1", "--pre", "4"),
+            ("run", "--conf", "{ini}"),
+            ("run", "--preset", "1", "--domain.res", "8"),
+        ],
+    )
+    def test_abbreviated_option_rejected(self, tmp_path, capsys, argv):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[solver]\nT = 0.1\n")
+        out = tmp_path / "x"
+        argv = [a.format(ini=ini) for a in argv]
+        assert run_main(*argv, "--out", str(out)) == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_path_is_a_directory(self, tmp_path, capsys):
         assert run_main("run", "--config", str(tmp_path), "--out", str(tmp_path / "x")) == 2
         err = capsys.readouterr().err
         assert "config error" in err
         assert str(tmp_path) in err
         assert not (tmp_path / "x").exists()
+
+
+class TestOverrideSpellings:
+    """Every command-line spelling resolves as the same overrides passed to the loader."""
+
+    @pytest.fixture
+    def resolved(self, monkeypatch):
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            return 0, cfg.output.directory
+
+        monkeypatch.setattr(esdib.cli, "run_from_config", capture)
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv,overrides",
+        [
+            (("--solver.tau", "0.005"), {"solver.tau": "0.005"}),
+            (("--solver.tau=0.005",), {"solver.tau": "0.005"}),
+            (("--kinetics.B", "-5"), {"kinetics.B": "-5"}),
+            (("--kinetics.B=-1e2",), {"kinetics.B": "-1e2"}),
+            (("--solver.tau", "0.005", "--solver.tau", "0.002"), {"solver.tau": "0.002"}),
+            (
+                ("--domain.resolution=12", "--solver.T", "0.05", "--output.write_obj", "true"),
+                {"domain.resolution": "12", "solver.T": "0.05", "output.write_obj": "true"},
+            ),
+            (("--out", "A", "--output.directory", "B"), {"output.directory": "A"}),
+            (("--output.directory", "B", "--out", "A"), {"output.directory": "A"}),
+            (("--output.directory", "B"), {"output.directory": "B"}),
+        ],
+    )
+    def test_run_spelling(self, resolved, argv, overrides):
+        assert run_main("run", "--preset", "1", *argv) == 0
+        expected = load_config(preset=1, overrides=overrides)
+        assert [dump_config(cfg) for cfg in resolved] == [dump_config(expected)]
+
+    @pytest.mark.parametrize(
+        "argv,preset,overrides",
+        [
+            (("--preset", "1", "--size", "10"), 1, {"domain.size": "10"}),
+            (
+                ("--kind", "sphere", "--size", "2", "--resolution=2"),
+                None,
+                {"domain.kind": "sphere", "domain.size": "2", "domain.resolution": "2"},
+            ),
+        ],
+    )
+    def test_mesh_spelling(self, tmp_path, monkeypatch, argv, preset, overrides):
+        seen = []
+        original = esdib.cli.build_domain
+
+        def capture(spec):
+            seen.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(esdib.cli, "build_domain", capture)
+        assert run_main("mesh", *argv, "-o", str(tmp_path / "m.vtk")) == 0
+        assert seen == [load_domain(preset, overrides)]
+
+    def test_run_help_names_every_key_in_table_order(self, capsys):
+        assert run_main("run", "--help") == 0
+        named = re.findall(r"--(\w+\.\w+)", capsys.readouterr().out)
+        assert list(dict.fromkeys(named)) == list(CONFIG_KEYS)
 
 
 class TestMeshCommand:
@@ -240,4 +325,4 @@ class TestVerifyCommand:
 
     def test_stray_argument_rejected(self, capsys):
         assert run_main("verify", "--bogus") == 2
-        assert "'--bogus'" in capsys.readouterr().err
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err

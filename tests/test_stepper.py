@@ -506,6 +506,15 @@ class TestRun:
         assert final is self.state
         assert len(series.samples) == 0
 
+    def test_T_is_a_span_from_the_initial_time(self):
+        start = make_state(self.mesh, self.state.eta, self.state.theta, t=2.0)
+        final, series = run(start, self.params, SolverConfig(tau=0.01, T=0.05), stride=1)
+        assert final.step_index == 5
+        assert final.t == pytest.approx(2.05, rel=1e-12)
+        assert [s.t for s in series.samples] == pytest.approx(
+            [2.0, 2.01, 2.02, 2.03, 2.04, 2.05], rel=1e-12
+        )
+
     def test_sampling_stride(self):
         cfg = SolverConfig(tau=0.1, T=1.0)
         _, series = run(self.state, self.params, cfg, stride=3)
