@@ -83,8 +83,9 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
 def run_from_config(cfg: RunConfig) -> tuple[int, str]:
     """Execute one configured run and write its artifact directory.
 
-    Returns the exit status and the artifact directory.  Solver failures
-    exit 3; a degeneracy stop exits 4 with artifacts up to the stop time.
+    Returns the exit status, 0 or 4, and the artifact directory; a
+    degeneracy stop returns 4 with artifacts up to the stop time.  Solver
+    failures raise their :class:`EsdibError`, which :func:`main` maps to 3.
     """
     out_dir = cfg.output.directory
     snap_dir = os.path.join(out_dir, "snapshots")
@@ -114,15 +115,9 @@ def run_from_config(cfg: RunConfig) -> tuple[int, str]:
 
         observers.append(snapshot)
 
-    try:
-        final, series = run(
-            state, params, cfg.solver,
-            observers=observers, stride=cfg.output.sample_stride,
-        )
-    except EsdibError as e:
-        print(f"esdib: solver failure: {e}", file=sys.stderr)
-        return EXIT_SOLVER, out_dir
-
+    final, series = run(
+        state, params, cfg.solver, observers=observers, stride=cfg.output.sample_stride
+    )
     series.to_csv(os.path.join(out_dir, "diagnostics.csv"))
     export_mesh_snapshot(final, os.path.join(out_dir, "final.vtk"))
     if cfg.output.write_obj:

@@ -31,7 +31,7 @@ the loop, and only the right-hand sides change from step to step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,10 +51,10 @@ class SolverConfig:
     """Numerical controls of one run.
 
     ``T`` is the time span of a run from the initial state's ``t``, covered
-    by :attr:`n_steps` steps of ``tau``.  ``min_triangle_area=None`` resolves
-    to ``1e-12`` times the mean triangle area of the initial mesh; together
-    with ``min_angle_deg`` it defines the degeneracy stop that ends a run
-    before elements collapse.
+    by :attr:`n_steps` steps of ``tau``.  ``min_triangle_area=None`` is
+    ``1e-12`` times the mean triangle area of a :func:`run`'s initial mesh,
+    or of each :func:`step` call's input mesh; with ``min_angle_deg`` it
+    defines the degeneracy stop that ends a run before elements collapse.
     """
 
     tau: float = 1e-2
@@ -68,7 +68,7 @@ class SolverConfig:
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not (self.T >= 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"final time T must be >= 0, got {self.T}")
+            raise ValueError(f"time span T must be >= 0, got {self.T}")
         if not (self.cg_tol > 0.0 and math.isfinite(self.cg_tol)):
             raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
         if self.cg_maxiter < 1:
@@ -248,10 +248,20 @@ def _check_finite(state_index: int, *arrays: np.ndarray) -> None:
             )
 
 
-def _resolve_min_area(cfg: SolverConfig, mesh: SurfaceMesh, mass: np.ndarray) -> float:
-    if cfg.min_triangle_area is not None:
-        return cfg.min_triangle_area
-    return 1e-12 * (float(mass.sum()) / mesh.n_triangles)
+def _start(
+    mesh: SurfaceMesh, params: KineticsParams, cfg: SolverConfig
+) -> tuple[StiffnessPattern, np.ndarray, float, tuple[_System, _System] | None]:
+    """Pattern, mass, resolved ``min_triangle_area`` and, at ``kappa = 0``, the
+    constant systems (else ``None``) of a chain of steps from ``mesh``."""
+    pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
+    mass = assemble_lumped_mass(mesh, pattern)
+    min_area = cfg.min_triangle_area
+    if min_area is None:
+        min_area = 1e-12 * (float(mass.sum()) / mesh.n_triangles)
+    systems = None
+    if params.kappa == 0.0:
+        systems = _diffusion_systems(mesh, pattern, mass, mass, cfg.tau, params.d)
+    return pattern, mass, min_area, systems
 
 
 def _advance(
@@ -261,14 +271,13 @@ def _advance(
     pattern: StiffnessPattern,
     mass: np.ndarray,
     min_area: float,
-    systems: tuple[_System, _System] | None = None,
+    systems: tuple[_System, _System] | None,
 ) -> tuple[SimState, np.ndarray, MeshQuality | None]:
-    """One step given precomputed pattern, old mass, and resolved threshold.
+    """One step given the set-up of :func:`_start` and the old mass.
 
     Returns the new state with its lumped mass diagonal and the quality of
     its moved mesh; the quality is ``None`` at ``kappa = 0``, where the mesh
-    is the input's.  ``systems`` are a frozen surface's system matrices (see
-    :func:`_diffusion_systems`); they are built here when omitted.
+    is the input's and ``systems`` are the frozen surface's.
     """
     tau = cfg.tau
     if params.kappa != 0.0:
@@ -285,10 +294,9 @@ def _advance(
                 time=state.t + tau,
             )
         mass_new = assemble_lumped_mass(mesh_new, pattern)
+        systems = _diffusion_systems(mesh_new, pattern, mass, mass_new, tau, params.d)
     else:
         mesh_new, mass_new, quality = state.mesh, mass, None
-    if systems is None:
-        systems = _diffusion_systems(mesh_new, pattern, mass, mass_new, tau, params.d)
     # implicit diffusion on the moved mesh, explicit reaction with the old mass
     eta, theta = state.eta, state.theta
     f_vals = eval_f(eta, theta, params)
@@ -324,9 +332,9 @@ def _advance(
 def step(state: SimState, params: KineticsParams, cfg: SolverConfig) -> SimState:
     """Advance one time step; see the module docstring for the scheme.
 
-    Convenience single-shot form: the sparsity pattern, the old mass matrix
-    and the system matrices are rebuilt on every call.  Inside :func:`run`
-    the pattern is cached, and so are the operators of a frozen surface.
+    Convenience single-shot form: the pattern, the old mass, the
+    ``min_triangle_area=None`` threshold and a frozen surface's systems come
+    from ``state.mesh`` on every call; :func:`run` builds them once.
 
     Raises
     ------
@@ -337,10 +345,7 @@ def step(state: SimState, params: KineticsParams, cfg: SolverConfig) -> SimState
         Linear solve failure or non-finite field values.
     """
     _check_state(state)
-    pattern = StiffnessPattern(state.mesh.triangles, state.mesh.n_nodes)
-    mass = assemble_lumped_mass(state.mesh, pattern)
-    min_area = _resolve_min_area(cfg, state.mesh, mass)
-    next_state, _, _ = _advance(state, params, cfg, pattern, mass, min_area)
+    next_state, _, _ = _advance(state, params, cfg, *_start(state.mesh, params, cfg))
     return next_state
 
 
@@ -384,25 +389,21 @@ def run(
     if stride < 1:
         raise ValueError(f"sampling stride must be >= 1, got {stride}")
     n_steps = cfg.n_steps
-    evolving = params.kappa != 0.0
-    series = DiagnosticsSeries(evolving=evolving)
+    series = DiagnosticsSeries(evolving=params.kappa != 0.0)
     if n_steps == 0:
         return initial, series
 
-    pattern = StiffnessPattern(initial.mesh.triangles, initial.mesh.n_nodes)
-    mass = assemble_lumped_mass(initial.mesh, pattern)
-    min_area = _resolve_min_area(cfg, initial.mesh, mass)
-    quality = mesh_quality(initial.mesh)
-    systems = None
-    if not evolving:
-        systems = _diffusion_systems(initial.mesh, pattern, mass, mass, cfg.tau, params.d)
+    # an own handle on the same arrays keeps the geometry cache off the caller's
+    # mesh, and only the states hold it, so it goes once the run moves on
+    state = replace(initial, mesh=SurfaceMesh._with_nodes(initial.mesh, initial.mesh.nodes))
+    pattern, mass, min_area, systems = _start(state.mesh, params, cfg)
+    quality = mesh_quality(state.mesh)
 
     def sample(state: SimState, current_mass: np.ndarray, quality: MeshQuality) -> None:
         series.record(state, current_mass, quality)
         for obs in observers:
             obs(state, current_mass)
 
-    state = initial
     sample(state, mass, quality)
     for k in range(1, n_steps + 1):
         try:

@@ -107,12 +107,16 @@ class TestRunCommand:
         assert (out / "diagnostics.csv").exists()
         assert (out / "final.vtk").exists()
 
-    def test_solver_failure_exits_3(self, tmp_path):
+    def test_solver_failure_exits_3(self, tmp_path, capsys):
         out = tmp_path / "artifacts"
         code = run_main(
             *quick_run_args(out, "--solver.cg_maxiter", "1", "--solver.cg_tol", "1e-15")
         )
         assert code == 3
+        captured = capsys.readouterr()
+        assert "esdib: solver failure:" in captured.err
+        assert "artifacts written" not in captured.out
+        assert os.listdir(out) == ["config.ini"]
 
 
 class TestUsageErrors:

@@ -242,7 +242,7 @@ class TestSolverConfig:
             SolverConfig(tau=0.0)
         with pytest.raises(ValueError):
             SolverConfig(tau=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="time span T must be >= 0"):
             SolverConfig(T=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(cg_tol=0.0)
@@ -615,6 +615,15 @@ class TestRun:
         final, _ = run(self.state, moving, cfg, stride=stride)
         assert final.step_index == cfg.n_steps
         assert len(passes) == cfg.n_steps + 1
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.2])
+    def test_run_leaves_no_geometry_cache_on_the_initial_mesh(self, monkeypatch, kappa):
+        params = default_params(B=30.0, C=3.0, rho=2.0, kappa=kappa)
+        final, _ = run(self.state, params, SolverConfig(tau=1e-2, T=0.05))
+        assert final.step_index == 5
+        passes = count_geometry_passes(monkeypatch)
+        assemble_lumped_mass(self.state.mesh)
+        assert len(passes) == 1
 
     def test_frozen_run_computes_one_geometry_pass(self, monkeypatch):
         passes = count_geometry_passes(monkeypatch)
