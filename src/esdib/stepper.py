@@ -24,15 +24,16 @@ the start moves the fields only within the solver tolerance.
 
 With ``kappa = 0`` the mesh object is reused unchanged and the same update
 reduces to the classic fixed-surface scheme.  Mass, stiffness and both system
-matrices are then constant, so :func:`run` builds the operators once, before
-the loop, and only the right-hand sides change from step to step.
+matrices are then constant, so the chain of steps that :func:`run` samples
+builds them once, at its start, and only the right-hand sides change from
+step to step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -52,9 +53,10 @@ class SolverConfig:
 
     ``T`` is the time span of a run from the initial state's ``t``, covered
     by :attr:`n_steps` steps of ``tau``.  ``min_triangle_area=None`` is
-    ``1e-12`` times the mean triangle area of a :func:`run`'s initial mesh,
-    or of each :func:`step` call's input mesh; with ``min_angle_deg`` it
-    defines the degeneracy stop that ends a run before elements collapse.
+    ``1e-12`` times the mean triangle area of the first mesh of a chain of
+    steps: a :func:`run`'s initial mesh, or each :func:`step` call's input
+    mesh.  With ``min_angle_deg`` it defines the degeneracy stop that ends a
+    run before elements collapse.
     """
 
     tau: float = 1e-2
@@ -248,93 +250,88 @@ def _check_finite(state_index: int, *arrays: np.ndarray) -> None:
             )
 
 
-def _start(
-    mesh: SurfaceMesh, params: KineticsParams, cfg: SolverConfig
-) -> tuple[StiffnessPattern, np.ndarray, float, tuple[_System, _System] | None]:
-    """Pattern, mass, resolved ``min_triangle_area`` and, at ``kappa = 0``, the
-    constant systems (else ``None``) of a chain of steps from ``mesh``."""
-    pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
-    mass = assemble_lumped_mass(mesh, pattern)
-    min_area = cfg.min_triangle_area
-    if min_area is None:
-        min_area = 1e-12 * (float(mass.sum()) / mesh.n_triangles)
-    systems = None
-    if params.kappa == 0.0:
-        systems = _diffusion_systems(mesh, pattern, mass, mass, cfg.tau, params.d)
-    return pattern, mass, min_area, systems
+def _steps(
+    state: SimState, params: KineticsParams, cfg: SolverConfig
+) -> Iterator[tuple[SimState, np.ndarray, MeshQuality | None]]:
+    """The chain of steps from ``state``, one state after the other, without end.
 
-
-def _advance(
-    state: SimState,
-    params: KineticsParams,
-    cfg: SolverConfig,
-    pattern: StiffnessPattern,
-    mass: np.ndarray,
-    min_area: float,
-    systems: tuple[_System, _System] | None,
-) -> tuple[SimState, np.ndarray, MeshQuality | None]:
-    """One step given the set-up of :func:`_start` and the old mass.
-
-    Returns the new state with its lumped mass diagonal and the quality of
-    its moved mesh; the quality is ``None`` at ``kappa = 0``, where the mesh
-    is the input's and ``systems`` are the frozen surface's.
+    Builds the start-up once: the pattern, the lumped mass, the resolved
+    ``min_triangle_area`` and, at ``kappa = 0``, the constant systems.  Yields
+    ``state`` first, with its mass and its mesh quality, then each new state
+    with its mass and the quality of its moved mesh; the quality is ``None``
+    at ``kappa = 0``, where every state keeps the input's mesh.  Raises
+    :class:`DegeneracyStop` when a moved mesh falls below the thresholds.
     """
     tau = cfg.tau
-    if params.kappa != 0.0:
-        normals = compute_node_normals(state.mesh, pattern)
-        displacement = (tau * params.kappa) * state.eta[:, None] * normals
-        mesh_new = displace_nodes(state.mesh, displacement)
-        quality = mesh_quality(mesh_new)
-        if quality.min_area < min_area or quality.min_angle_deg < cfg.min_angle_deg:
-            raise DegeneracyStop(
-                "mesh degenerated at step "
-                f"{state.step_index + 1}: min area {quality.min_area:.3e}, "
-                f"min angle {quality.min_angle_deg:.3f} deg",
-                step_index=state.step_index + 1,
-                time=state.t + tau,
-            )
-        mass_new = assemble_lumped_mass(mesh_new, pattern)
-        systems = _diffusion_systems(mesh_new, pattern, mass, mass_new, tau, params.d)
-    else:
-        mesh_new, mass_new, quality = state.mesh, mass, None
-    # implicit diffusion on the moved mesh, explicit reaction with the old mass
-    eta, theta = state.eta, state.theta
-    f_vals = eval_f(eta, theta, params)
-    g_vals = eval_g(eta, theta, params)
-    rhs_eta = (mass * eta) / tau + params.rho * (mass * f_vals)
-    rhs_theta = (mass * theta) / tau + params.rho * (mass * g_vals)
-    (A_eta, diag_eta), (A_theta, diag_theta) = systems
-    levels = ((eta, theta), *state.history[:HISTORY_LEVELS])
-    # the extrapolation, once there, is checked only against the zero start,
-    # whose residual costs no product; until then the start is the old field
-    eta_guess = _predict([level[0] for level in levels])
-    eta_next = solve_spd(
-        A_eta, rhs_eta, cfg.cg_tol, cfg.cg_maxiter,
-        x0=eta if eta_guess is None else None, guess=eta_guess, diag=diag_eta,
-    )
-    theta_guess = _predict([level[1] for level in levels])
-    theta_next = solve_spd(
-        A_theta, rhs_theta, cfg.cg_tol, cfg.cg_maxiter,
-        x0=theta if theta_guess is None else None, guess=theta_guess, diag=diag_theta,
-    )
-    _check_finite(state.step_index + 1, eta_next, theta_next)
-    next_state = SimState(
-        t=state.t + tau,
-        mesh=mesh_new,
-        eta=eta_next,
-        theta=theta_next,
-        step_index=state.step_index + 1,
-        history=levels[:HISTORY_LEVELS],
-    )
-    return next_state, mass_new, quality
+    pattern = StiffnessPattern(state.mesh.triangles, state.mesh.n_nodes)
+    mass = assemble_lumped_mass(state.mesh, pattern)
+    min_area = cfg.min_triangle_area
+    if min_area is None:
+        min_area = 1e-12 * (float(mass.sum()) / state.mesh.n_triangles)
+    frozen = None
+    if params.kappa == 0.0:
+        frozen = _diffusion_systems(state.mesh, pattern, mass, mass, tau, params.d)
+
+    # the step body is a function of its own, so that its temporaries (systems,
+    # normals, right-hand sides, starts) are gone before the chain yields
+    def advance(state: SimState, mass: np.ndarray):
+        if frozen is None:
+            normals = compute_node_normals(state.mesh, pattern)
+            displacement = (tau * params.kappa) * state.eta[:, None] * normals
+            mesh_new = displace_nodes(state.mesh, displacement)
+            quality = mesh_quality(mesh_new)
+            if quality.min_area < min_area or quality.min_angle_deg < cfg.min_angle_deg:
+                raise DegeneracyStop(
+                    "mesh degenerated at step "
+                    f"{state.step_index + 1}: min area {quality.min_area:.3e}, "
+                    f"min angle {quality.min_angle_deg:.3f} deg",
+                    step_index=state.step_index + 1,
+                    time=state.t + tau,
+                )
+            mass_new = assemble_lumped_mass(mesh_new, pattern)
+            systems = _diffusion_systems(mesh_new, pattern, mass, mass_new, tau, params.d)
+        else:
+            mesh_new, mass_new, quality, systems = state.mesh, mass, None, frozen
+        # implicit diffusion on the moved mesh, explicit reaction with the old mass
+        eta, theta = state.eta, state.theta
+        f_vals = eval_f(eta, theta, params)
+        g_vals = eval_g(eta, theta, params)
+        rhs_eta = (mass * eta) / tau + params.rho * (mass * f_vals)
+        rhs_theta = (mass * theta) / tau + params.rho * (mass * g_vals)
+        (A_eta, diag_eta), (A_theta, diag_theta) = systems
+        levels = ((eta, theta), *state.history[:HISTORY_LEVELS])
+        # the extrapolation, once there, is checked only against the zero start,
+        # whose residual costs no product; until then the start is the old field
+        eta_guess = _predict([level[0] for level in levels])
+        eta_next = solve_spd(
+            A_eta, rhs_eta, cfg.cg_tol, cfg.cg_maxiter,
+            x0=eta if eta_guess is None else None, guess=eta_guess, diag=diag_eta,
+        )
+        theta_guess = _predict([level[1] for level in levels])
+        theta_next = solve_spd(
+            A_theta, rhs_theta, cfg.cg_tol, cfg.cg_maxiter,
+            x0=theta if theta_guess is None else None, guess=theta_guess, diag=diag_theta,
+        )
+        _check_finite(state.step_index + 1, eta_next, theta_next)
+        next_state = SimState(
+            t=state.t + tau, mesh=mesh_new, eta=eta_next, theta=theta_next,
+            step_index=state.step_index + 1, history=levels[:HISTORY_LEVELS],
+        )
+        return next_state, mass_new, quality
+
+    yield state, mass, mesh_quality(state.mesh)
+    while True:
+        state, mass, quality = advance(state, mass)
+        yield state, mass, quality
 
 
 def step(state: SimState, params: KineticsParams, cfg: SolverConfig) -> SimState:
     """Advance one time step; see the module docstring for the scheme.
 
-    Convenience single-shot form: the pattern, the old mass, the
-    ``min_triangle_area=None`` threshold and a frozen surface's systems come
-    from ``state.mesh`` on every call; :func:`run` builds them once.
+    Convenience single-shot form: the first step of a new chain from
+    ``state``, so the pattern, the old mass, the ``min_triangle_area=None``
+    threshold and a frozen surface's systems come from ``state.mesh`` on
+    every call; :func:`run` builds them once for its whole chain.
 
     Raises
     ------
@@ -345,8 +342,9 @@ def step(state: SimState, params: KineticsParams, cfg: SolverConfig) -> SimState
         Linear solve failure or non-finite field values.
     """
     _check_state(state)
-    next_state, _, _ = _advance(state, params, cfg, *_start(state.mesh, params, cfg))
-    return next_state
+    chain = _steps(state, params, cfg)
+    next(chain)
+    return next(chain)[0]
 
 
 def _check_state(state: SimState) -> None:
@@ -372,12 +370,14 @@ def run(
     """Advance the initial state by the time span ``cfg.T``, sampling diagnostics.
 
     The run takes ``cfg.n_steps`` steps of ``tau`` from ``initial.t``, not up
-    to an absolute time ``T``.  Samples are recorded at step 0, every
-    ``stride`` steps, and at the final step; observers are called at each
-    sample with the state and the current lumped mass diagonal.  A degeneracy
-    stop ends the run cleanly: the last valid state is returned and the series
-    is flagged as stopped.  On a frozen surface (``kappa = 0``) the system
-    matrices and mesh quality are built once, before the first step.
+    to an absolute time ``T``, as one chain of steps whose start-up (pattern,
+    mass, area threshold and, on a frozen surface with ``kappa = 0``, the
+    system matrices and mesh quality) is built once, before the first step.
+    Samples are recorded at step 0, every ``stride`` steps, and at the final
+    step; observers are called at each sample with the state and the current
+    lumped mass diagonal.  A degeneracy stop ends the run cleanly: the last
+    valid state is sampled once, returned, and the series is flagged as
+    stopped.
 
     Returns
     -------
@@ -395,27 +395,23 @@ def run(
 
     # an own handle on the same arrays keeps the geometry cache off the caller's
     # mesh, and only the states hold it, so it goes once the run moves on
-    state = replace(initial, mesh=SurfaceMesh._with_nodes(initial.mesh, initial.mesh.nodes))
-    pattern, mass, min_area, systems = _start(state.mesh, params, cfg)
-    quality = mesh_quality(state.mesh)
-
-    def sample(state: SimState, current_mass: np.ndarray, quality: MeshQuality) -> None:
-        series.record(state, current_mass, quality)
+    chain = _steps(
+        replace(initial, mesh=SurfaceMesh._with_nodes(initial.mesh, initial.mesh.nodes)),
+        params, cfg,
+    )
+    quality = None
+    try:
+        # the range comes first, so zip asks the chain for no step past the last
+        for k, (state, mass, moved_quality) in zip(range(n_steps + 1), chain):
+            quality = moved_quality or quality  # a frozen surface keeps its quality
+            if k % stride == 0:
+                series.record(state, mass, quality)
+                for obs in observers:
+                    obs(state, mass)
+    except DegeneracyStop as stop:
+        series.mark_stopped(str(stop))
+    if k % stride != 0:  # the last state, final or last valid, unless a stride sampled it
+        series.record(state, mass, quality)
         for obs in observers:
-            obs(state, current_mass)
-
-    sample(state, mass, quality)
-    for k in range(1, n_steps + 1):
-        try:
-            state, mass, moved_quality = _advance(
-                state, params, cfg, pattern, mass, min_area, systems
-            )
-        except DegeneracyStop as stop:
-            series.mark_stopped(str(stop))
-            if (k - 1) % stride != 0:  # pre-step state not sampled yet
-                sample(state, mass, quality)
-            return state, series
-        quality = moved_quality or quality  # a frozen surface keeps its quality
-        if k % stride == 0 or k == n_steps:
-            sample(state, mass, quality)
+            obs(state, mass)
     return state, series

@@ -1,6 +1,7 @@
 """Linear solver, single steps, and full runs of the time integrator."""
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from esdib import (
     surface_area,
 )
 from esdib import stepper
-from esdib.mesh import mesh_quality, triangle_areas
+from esdib.mesh import _TriangleGeometry, mesh_quality, triangle_areas
 from esdib.meshgen import generate_icosphere, generate_square
 
 from conftest import (
@@ -625,6 +626,27 @@ class TestRun:
         assemble_lumped_mass(self.state.mesh)
         assert len(passes) == 1
 
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_moving_run_keeps_one_geometry_alive(self, stride):
+        # a chain that held on to an earlier mesh would keep its geometry pass
+        # (three per-triangle arrays) alive beside the current one
+        def live_geometries():
+            gc.collect()
+            return sum(isinstance(obj, _TriangleGeometry) for obj in gc.get_objects())
+
+        state, params, cfg = TestPredictedStart.preset_sheet(resolution=16)
+        assert params.kappa != 0.0
+        cfg = dataclasses.replace(cfg, T=0.3)
+        before = live_geometries()
+        seen = []
+        final, series = run(
+            state, params, cfg, stride=stride,
+            observers=[lambda s, m: seen.append((s.step_index, live_geometries() - before))],
+        )
+        assert not series.stopped and final.step_index == 30
+        assert [k for k, _ in seen] == list(range(0, 31, stride))
+        assert all(alive <= 1 for _, alive in seen), seen
+
     def test_frozen_run_computes_one_geometry_pass(self, monkeypatch):
         passes = count_geometry_passes(monkeypatch)
         run(self.state, self.params, SolverConfig(tau=1e-2, T=0.1), stride=1)
@@ -688,17 +710,37 @@ class TestDegeneracyStop:
         # the input state survives a refused step
         assert np.all(np.isfinite(state.mesh.nodes))
 
-    def test_run_stops_cleanly_and_keeps_last_valid_state(self):
+    @pytest.mark.parametrize("stride", [1, 2, 5, 10])
+    def test_run_stops_cleanly_and_keeps_last_valid_state(self, stride):
         state, params, cfg = self.shrinking_sphere()
-        final, series = run(state, params, cfg, stride=10)
+        seen = []
+        final, series = run(state, params, cfg, stride=stride,
+                            observers=[lambda s, m: seen.append(s.step_index)])
         assert series.stopped
         assert final.step_index == 5
+        # step 6 stops the run: strided samples, then the last valid state once
+        sampled = {1: [0, 1, 2, 3, 4, 5], 2: [0, 2, 4, 5], 5: [0, 5], 10: [0, 5]}[stride]
+        assert seen == sampled
+        assert len(series.samples) == len(sampled)
         assert final.t == pytest.approx(0.25, rel=1e-12)
         radii = np.linalg.norm(final.mesh.nodes, axis=1)
         assert np.max(np.abs(radii - 0.75)) <= 1e-2
         # the last valid state is always sampled, with its own mesh quality
         assert series.samples[-1].t == pytest.approx(final.t, rel=1e-12)
         assert series.samples[-1].min_angle_deg == mesh_quality(final.mesh).min_angle_deg
+
+    @pytest.mark.parametrize("stride", [1, 2, 5, 10])
+    def test_run_stopped_at_step_1_samples_the_initial_state_once(self, stride):
+        state, params, cfg = self.shrinking_sphere()
+        cfg = dataclasses.replace(cfg, min_triangle_area=float(triangle_areas(state.mesh).min()))
+        seen = []
+        final, series = run(state, params, cfg, stride=stride,
+                            observers=[lambda s, m: seen.append(s.step_index)])
+        assert series.stopped
+        assert final.step_index == 0
+        assert np.array_equal(final.eta, state.eta)
+        assert seen == [0]
+        assert len(series.samples) == 1
 
     def test_angle_threshold_validation(self):
         for angle in (0.0, 0.5):
