@@ -34,6 +34,7 @@ import configparser
 import inspect
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -98,6 +99,13 @@ def _kind(name: str, text: str) -> str:
 def _directory(name: str, text: str) -> str:
     if not text:
         raise ConfigError(f"{name} must not be empty")
+    # config.ini must read it back as it is, but the INI reader strips a value,
+    # ends it at a line break and drops an inline comment: # or ; after whitespace
+    if text != text.strip() or len(text.splitlines()) > 1 or re.search(r"\s[#;]", text):
+        raise ConfigError(
+            f"{name} must not start or end with whitespace, hold a line break, "
+            f"or have # or ; right after whitespace, got {text!r}"
+        )
     return text
 
 
@@ -290,6 +298,11 @@ def _parse(raw: dict[str, dict[str, str]], section: str) -> dict:
             values[key] = default_resolution(values["kind"], values["size"])
         else:
             raise ConfigError(f"missing required config value {name}")
+        if key == "T" and not math.isfinite(values["T"] / values["tau"]):
+            raise ConfigError(
+                f"solver.T / solver.tau must be a finite number of steps, got "
+                f"{values['T']!r} / {values['tau']!r}"
+            )
         # snapshots are taken by an observer, which run calls only at sampled steps
         if key == "snapshot_stride" and values[key] % values["sample_stride"] != 0:
             raise ConfigError(

@@ -10,6 +10,7 @@ normals: +z for the sheet, radial for the sphere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +85,9 @@ class DomainSpec:
             raise ConfigError(f"unknown domain kind {self.kind!r}")
         if not (self.size > 0.0 and math.isfinite(self.size)):
             raise ConfigError(f"domain size must be positive, got {self.size}")
-        if self.resolution < 1:
+        if not (isinstance(self.resolution, numbers.Integral) and self.resolution >= 1):
             raise ConfigError(
-                f"domain resolution must be at least 1, got {self.resolution}"
+                f"domain resolution must be an integer >= 1, got {self.resolution!r}"
             )
 
 

@@ -22,16 +22,19 @@ from the previous field.  The earlier levels travel with the state as
 :attr:`SimState.history`.  The stopping rule does not depend on the start, so
 the start moves the fields only within the solver tolerance.
 
-With ``kappa = 0`` the mesh object is reused unchanged and the same update
-reduces to the classic fixed-surface scheme.  Mass, stiffness and both system
-matrices are then constant, so the chain of steps that :func:`run` samples
-builds them once, at its start, and only the right-hand sides change from
-step to step.
+Steps 2 and 3 are one update, a right-hand side, a start and a solve, made
+for eta and then for theta.  With ``kappa = 0`` the mesh object is reused
+unchanged and the same update reduces to the classic fixed-surface scheme.
+Mesh, mass, quality, stiffness and both system matrices are then constant,
+so the chain of steps that :func:`run` samples builds them once, at its
+start, and every step takes that constant geometry in place of step 1; only
+the right-hand sides change from step to step.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -73,8 +76,10 @@ class SolverConfig:
             raise ValueError(f"time span T must be >= 0, got {self.T}")
         if not (self.cg_tol > 0.0 and math.isfinite(self.cg_tol)):
             raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
-        if self.cg_maxiter < 1:
-            raise ValueError(f"cg_maxiter must be >= 1, got {self.cg_maxiter}")
+        if not math.isfinite(self.T / self.tau):
+            raise ValueError(f"T / tau must be a finite number of steps, got {self.T} / {self.tau}")
+        if not (isinstance(self.cg_maxiter, numbers.Integral) and self.cg_maxiter >= 1):
+            raise ValueError(f"cg_maxiter must be an integer >= 1, got {self.cg_maxiter!r}")
         area = self.min_triangle_area
         if area is not None and not (area > 0.0 and math.isfinite(area)):
             raise ValueError(f"min_triangle_area must be positive or None, got {area}")
@@ -252,77 +257,75 @@ def _check_finite(state_index: int, *arrays: np.ndarray) -> None:
 
 def _steps(
     state: SimState, params: KineticsParams, cfg: SolverConfig
-) -> Iterator[tuple[SimState, np.ndarray, MeshQuality | None]]:
+) -> Iterator[tuple[SimState, np.ndarray, MeshQuality]]:
     """The chain of steps from ``state``, one state after the other, without end.
 
-    Builds the start-up once: the pattern, the lumped mass, the resolved
-    ``min_triangle_area`` and, at ``kappa = 0``, the constant systems.  Yields
-    ``state`` first, with its mass and its mesh quality, then each new state
-    with its mass and the quality of its moved mesh; the quality is ``None``
-    at ``kappa = 0``, where every state keeps the input's mesh.  Raises
-    :class:`DegeneracyStop` when a moved mesh falls below the thresholds.
+    Builds the start-up once: the pattern, the lumped mass, the mesh quality,
+    the resolved ``min_triangle_area`` and, at ``kappa = 0``, the constant
+    geometry ``(mesh, mass, quality, systems)`` that every step then reuses.
+    Yields ``state`` first, then each new state, each with its mass and the
+    quality of its mesh.  Raises :class:`DegeneracyStop` when a moved mesh
+    falls below the thresholds.
     """
     tau = cfg.tau
     pattern = StiffnessPattern(state.mesh.triangles, state.mesh.n_nodes)
     mass = assemble_lumped_mass(state.mesh, pattern)
+    quality = mesh_quality(state.mesh)
     min_area = cfg.min_triangle_area
     if min_area is None:
         min_area = 1e-12 * (float(mass.sum()) / state.mesh.n_triangles)
-    frozen = None
+    frozen = None  # a moving chain keeps no handle on its first mesh
     if params.kappa == 0.0:
-        frozen = _diffusion_systems(state.mesh, pattern, mass, mass, tau, params.d)
+        systems = _diffusion_systems(state.mesh, pattern, mass, mass, tau, params.d)
+        frozen = (state.mesh, mass, quality, systems)
+
+    def move(state: SimState, mass: np.ndarray):
+        """The moved mesh, its mass, its quality and the systems on it."""
+        normals = compute_node_normals(state.mesh, pattern)
+        displacement = (tau * params.kappa) * state.eta[:, None] * normals
+        mesh_new = displace_nodes(state.mesh, displacement)
+        quality = mesh_quality(mesh_new)
+        if quality.min_area < min_area or quality.min_angle_deg < cfg.min_angle_deg:
+            raise DegeneracyStop(
+                "mesh degenerated at step "
+                f"{state.step_index + 1}: min area {quality.min_area:.3e}, "
+                f"min angle {quality.min_angle_deg:.3f} deg",
+                step_index=state.step_index + 1,
+                time=state.t + tau,
+            )
+        mass_new = assemble_lumped_mass(mesh_new, pattern)
+        systems = _diffusion_systems(mesh_new, pattern, mass, mass_new, tau, params.d)
+        return mesh_new, mass_new, quality, systems
 
     # the step body is a function of its own, so that its temporaries (systems,
     # normals, right-hand sides, starts) are gone before the chain yields
     def advance(state: SimState, mass: np.ndarray):
-        if frozen is None:
-            normals = compute_node_normals(state.mesh, pattern)
-            displacement = (tau * params.kappa) * state.eta[:, None] * normals
-            mesh_new = displace_nodes(state.mesh, displacement)
-            quality = mesh_quality(mesh_new)
-            if quality.min_area < min_area or quality.min_angle_deg < cfg.min_angle_deg:
-                raise DegeneracyStop(
-                    "mesh degenerated at step "
-                    f"{state.step_index + 1}: min area {quality.min_area:.3e}, "
-                    f"min angle {quality.min_angle_deg:.3f} deg",
-                    step_index=state.step_index + 1,
-                    time=state.t + tau,
-                )
-            mass_new = assemble_lumped_mass(mesh_new, pattern)
-            systems = _diffusion_systems(mesh_new, pattern, mass, mass_new, tau, params.d)
-        else:
-            mesh_new, mass_new, quality, systems = state.mesh, mass, None, frozen
-        # implicit diffusion on the moved mesh, explicit reaction with the old mass
+        mesh_new, mass_new, quality, systems = frozen or move(state, mass)
         eta, theta = state.eta, state.theta
-        f_vals = eval_f(eta, theta, params)
-        g_vals = eval_g(eta, theta, params)
-        rhs_eta = (mass * eta) / tau + params.rho * (mass * f_vals)
-        rhs_theta = (mass * theta) / tau + params.rho * (mass * g_vals)
-        (A_eta, diag_eta), (A_theta, diag_theta) = systems
         levels = ((eta, theta), *state.history[:HISTORY_LEVELS])
-        # the extrapolation, once there, is checked only against the zero start,
-        # whose residual costs no product; until then the start is the old field
-        eta_guess = _predict([level[0] for level in levels])
-        eta_next = solve_spd(
-            A_eta, rhs_eta, cfg.cg_tol, cfg.cg_maxiter,
-            x0=eta if eta_guess is None else None, guess=eta_guess, diag=diag_eta,
-        )
-        theta_guess = _predict([level[1] for level in levels])
-        theta_next = solve_spd(
-            A_theta, rhs_theta, cfg.cg_tol, cfg.cg_maxiter,
-            x0=theta if theta_guess is None else None, guess=theta_guess, diag=diag_theta,
-        )
-        _check_finite(state.step_index + 1, eta_next, theta_next)
+        fields = []
+        # implicit diffusion on the moved mesh, explicit reaction with the old
+        # mass; eta first, as the bench tracer counts CG iterations in call order
+        for source, (A, diag), field_levels in zip((eval_f, eval_g), systems, zip(*levels)):
+            old = field_levels[0]
+            rhs = (mass * old) / tau + params.rho * (mass * source(eta, theta, params))
+            # the extrapolation, once there, is checked only against the zero start,
+            # whose residual costs no product; until then the start is the old field
+            guess = _predict(field_levels)
+            fields.append(solve_spd(
+                A, rhs, cfg.cg_tol, cfg.cg_maxiter,
+                x0=old if guess is None else None, guess=guess, diag=diag,
+            ))
+        _check_finite(state.step_index + 1, *fields)
         next_state = SimState(
-            t=state.t + tau, mesh=mesh_new, eta=eta_next, theta=theta_next,
+            t=state.t + tau, mesh=mesh_new, eta=fields[0], theta=fields[1],
             step_index=state.step_index + 1, history=levels[:HISTORY_LEVELS],
         )
         return next_state, mass_new, quality
 
-    yield state, mass, mesh_quality(state.mesh)
     while True:
-        state, mass, quality = advance(state, mass)
         yield state, mass, quality
+        state, mass, quality = advance(state, mass)
 
 
 def step(state: SimState, params: KineticsParams, cfg: SolverConfig) -> SimState:
@@ -371,13 +374,13 @@ def run(
 
     The run takes ``cfg.n_steps`` steps of ``tau`` from ``initial.t``, not up
     to an absolute time ``T``, as one chain of steps whose start-up (pattern,
-    mass, area threshold and, on a frozen surface with ``kappa = 0``, the
-    system matrices and mesh quality) is built once, before the first step.
-    Samples are recorded at step 0, every ``stride`` steps, and at the final
-    step; observers are called at each sample with the state and the current
-    lumped mass diagonal.  A degeneracy stop ends the run cleanly: the last
-    valid state is sampled once, returned, and the series is flagged as
-    stopped.
+    mass, mesh quality, area threshold and, on a frozen surface with
+    ``kappa = 0``, the system matrices) is built once, before the first step.
+    Samples of the chain's ``(state, mass, quality)`` are recorded at step 0,
+    every ``stride`` steps, and at the final step; observers are called at
+    each sample with the state and the current lumped mass diagonal.  A
+    degeneracy stop ends the run cleanly: the last valid state is sampled
+    once, returned, and the series is flagged as stopped.
 
     Returns
     -------
@@ -399,19 +402,17 @@ def run(
         replace(initial, mesh=SurfaceMesh._with_nodes(initial.mesh, initial.mesh.nodes)),
         params, cfg,
     )
-    quality = None
     try:
         # the range comes first, so zip asks the chain for no step past the last
-        for k, (state, mass, moved_quality) in zip(range(n_steps + 1), chain):
-            quality = moved_quality or quality  # a frozen surface keeps its quality
+        for k, sample in zip(range(n_steps + 1), chain):
             if k % stride == 0:
-                series.record(state, mass, quality)
+                series.record(*sample)
                 for obs in observers:
-                    obs(state, mass)
+                    obs(*sample[:2])
     except DegeneracyStop as stop:
         series.mark_stopped(str(stop))
     if k % stride != 0:  # the last state, final or last valid, unless a stride sampled it
-        series.record(state, mass, quality)
+        series.record(*sample)
         for obs in observers:
-            obs(state, mass)
-    return state, series
+            obs(*sample[:2])
+    return sample[0], series

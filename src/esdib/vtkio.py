@@ -49,8 +49,9 @@ def write_vtk(path, mesh: SurfaceMesh, point_data=None, title="surface snapshot"
     Raises
     ------
     ValueError
-        A field name that is empty or holds whitespace, or a title that
-        holds a line break: :func:`read_vtk` could not read either back.
+        A field name that is empty, holds whitespace or is not printable
+        ASCII, or a title that holds a line break: :func:`read_vtk` could
+        not read either back.
     DataError
         A field of the wrong shape.
     """
@@ -59,8 +60,8 @@ def write_vtk(path, mesh: SurfaceMesh, point_data=None, title="surface snapshot"
         raise ValueError(f"VTK title {title!r} must fit on one line")
     n = mesh.n_nodes
     for name, values in point_data.items():
-        if name.split() != [name]:
-            raise ValueError(f"VTK field name {name!r} must be one word without whitespace")
+        if not (name.isascii() and name.isprintable() and name.split() == [name]):
+            raise ValueError(f"VTK field name {name!r} must be one word of printable ASCII")
         if np.shape(values) != (n,):
             raise DataError(
                 f"field {name!r} has shape {np.shape(values)}, expected ({n},)"

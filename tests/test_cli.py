@@ -190,6 +190,23 @@ class TestUsageErrors:
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [("--domain.resolution", "1", "--solver.T", "1e308"), ("--solver.tau", "1e-320")],
+    )
+    def test_step_count_that_overflows(self, tmp_path, capsys, overrides):
+        out = tmp_path / "x"
+        assert run_main("run", "--preset", "4", *overrides, "--out", str(out)) == 2
+        assert "solver.T / solver.tau must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["a #b", "a\t;b", "trail ", "two\nlines"])
+    def test_directory_config_ini_cannot_record(self, tmp_path, capsys, name):
+        out = tmp_path / name
+        assert run_main(*quick_run_args(out)) == 2
+        assert "output.directory must not" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_path_is_a_directory(self, tmp_path, capsys):
         assert run_main("run", "--config", str(tmp_path), "--out", str(tmp_path / "x")) == 2
         err = capsys.readouterr().err

@@ -206,6 +206,15 @@ class TestValidation:
                 {"output.sample_stride": "10", "output.snapshot_stride": "15"},
                 "output.snapshot_stride must be a multiple of output.sample_stride",
             ),
+            ({"solver.T": "1e308"}, "solver.T / solver.tau must be a finite number of steps"),
+            ({"solver.tau": "1e-320"}, "solver.T / solver.tau must be a finite number of steps"),
+            ({"output.directory": " lead"}, "output.directory must not start"),
+            ({"output.directory": "trail "}, "output.directory must not start"),
+            ({"output.directory": "runs/a #b"}, "output.directory must not start"),
+            ({"output.directory": "runs/a\t#b"}, "output.directory must not start"),
+            ({"output.directory": "runs/a ;b"}, "output.directory must not start"),
+            ({"output.directory": "two\nlines"}, "output.directory must not start"),
+            ({"output.directory": "cr\rreturn"}, "output.directory must not start"),
         ],
     )
     def test_bad_values_name_section_and_key(self, override, fragment):
@@ -239,6 +248,13 @@ class TestDump:
         )
         assert again.solver == cfg.solver
         assert again.output == cfg.output
+
+    @pytest.mark.parametrize("directory", ["runs/#1", "runs/a;b", "my runs/p 4", "a%b"])
+    def test_directory_round_trips(self, tmp_path, directory):
+        cfg = load_config(preset=1, overrides={"output.directory": directory})
+        path = tmp_path / "config.ini"
+        path.write_text(dump_config(cfg))
+        assert load_config(path=str(path)).output.directory == directory
 
     def test_dump_is_deterministic(self):
         a = dump_config(load_config(preset=5))

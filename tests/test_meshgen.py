@@ -201,3 +201,6 @@ class TestDomainSpec:
             DomainSpec("sphere", float("nan"), 2)
         with pytest.raises(ConfigError):
             DomainSpec("sphere", 1.0, 0)
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(ConfigError, match="resolution must be an integer"):
+                DomainSpec("square", 2.0, bad)

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 from esdib import (
     DegeneracyStop,
+    MeshQuality,
     NumericsError,
     SimState,
     SolverConfig,
@@ -252,6 +253,13 @@ class TestSolverConfig:
                 SolverConfig(cg_tol=bad)
         with pytest.raises(ValueError):
             SolverConfig(cg_maxiter=0)
+        for bad in (1.5, 10.0, "10"):
+            with pytest.raises(ValueError, match="cg_maxiter must be an integer"):
+                SolverConfig(cg_maxiter=bad)
+        assert SolverConfig(cg_maxiter=np.int64(7)).cg_maxiter == 7
+        for T, tau in ((1e308, 1e-2), (1.0, 1e-320)):
+            with pytest.raises(ValueError, match="finite number of steps"):
+                SolverConfig(T=T, tau=tau)
 
 
 class TestSingleStep:
@@ -515,6 +523,20 @@ class TestRun:
         assert [s.t for s in series.samples] == pytest.approx(
             [2.0, 2.01, 2.02, 2.03, 2.04, 2.05], rel=1e-12
         )
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.2])
+    def test_chain_yields_a_quality_for_every_state(self, kappa):
+        params = default_params(B=30.0, C=3.0, rho=2.0, kappa=kappa)
+        start = mesh_quality(self.mesh)
+        chain = stepper._steps(self.state, params, SolverConfig(tau=0.05, T=1.0))
+        for k, (state, _, quality) in zip(range(6), chain):
+            assert state.step_index == k
+            assert isinstance(quality, MeshQuality)
+            assert quality == mesh_quality(state.mesh)
+            if kappa == 0.0:  # the frozen surface carries its start quality
+                assert state.mesh is self.mesh
+                assert quality == start
+        assert (state.mesh is self.mesh) == (kappa == 0.0)
 
     def test_sampling_stride(self):
         cfg = SolverConfig(tau=0.1, T=1.0)

@@ -157,7 +157,9 @@ class TestWriteVtk:
 
 
 class TestNamesAndTitles:
-    @pytest.mark.parametrize("name", ["", "my field", "eta\n", "\ttheta", "a\u00a0b"])
+    @pytest.mark.parametrize(
+        "name", ["", "my field", "eta\n", "\ttheta", "a\u00a0b", "\u03b7eta", "eta\x00", "x\x7f"]
+    )
     def test_field_name_must_be_one_word(self, tmp_path, small_mesh, name):
         path = tmp_path / "mesh.vtk"
         with pytest.raises(ValueError, match="field name"):
@@ -172,7 +174,8 @@ class TestNamesAndTitles:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "title", ["ASCII run", "ASCII", "DATASET UNSTRUCTURED_GRID POINTS 1", "", "  spaced  "]
+        "title",
+        ["ASCII run", "ASCII", "DATASET UNSTRUCTURED_GRID POINTS 1", "", "  spaced  ", "\u03b8 run"],
     )
     def test_any_one_line_title_round_trips(self, tmp_path, small_mesh, title):
         path = tmp_path / "mesh.vtk"
