@@ -13,7 +13,7 @@ Typical use::
     from esdib import (SimState, SolverConfig, default_params, build_domain,
                        DomainSpec, initial_condition, run)
 
-    mesh = build_domain(DomainSpec("sphere", 3.0, 4))
+    mesh = build_domain(DomainSpec("sphere", 3.0))  # default resolution: level 4
     params = default_params(B=30.0, C=3.0, rho=2.0)
     fields = initial_condition(mesh, params, seed=1)
     state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)

@@ -135,8 +135,8 @@ def run_from_config(cfg: RunConfig) -> tuple[int, str]:
         "n_triangles": final.mesh.n_triangles,
         "steps_taken": final.step_index,
         "final_time": final.t,
-        "initial_area": float(areas[0]) if len(areas) else None,
-        "final_area": float(areas[-1]) if len(areas) else None,
+        "initial_area": float(areas[0]),
+        "final_area": float(areas[-1]),
         "eta_range": [float(final.eta.min()), float(final.eta.max())],
         "theta_range": [float(final.theta.min()), float(final.theta.max())],
         "stopped": series.stopped,

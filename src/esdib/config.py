@@ -21,11 +21,17 @@ overrides.  The package defaults are the keyword defaults of
 :func:`~esdib.kinetics.initial_condition` and the field defaults of
 :class:`~esdib.stepper.SolverConfig` (except the required ``T``) and
 :class:`OutputConfig`; a preset supplies kind, size, B, C, rho and T.  The
-merged layers are parsed through one key table, :data:`_SCHEMA`, which also
-rejects unknown sections and keys, orders :func:`dump_config` and, as
-:data:`CONFIG_KEYS`, names the command-line options.  Every validation error
-names the offending ``section.key``.  :func:`load_domain` resolves the
-``[domain]`` section alone the same way, for ``esdib mesh``.
+merged layers are converted to typed values through one key table,
+:data:`_SCHEMA`, which also rejects unknown sections and keys, orders
+:func:`dump_config` and, as :data:`CONFIG_KEYS`, names the command-line
+options.  The table converts text only; each value is checked by the type
+that holds it (:class:`~esdib.meshgen.DomainSpec`, :class:`RunConfig` for the
+kinetics, :class:`~esdib.stepper.SolverConfig`, :class:`OutputConfig`), and
+its rejection is re-raised as a :class:`ConfigError` that names the
+``section.key``.  All text is converted before any value is checked; the
+owners then check the domain, solver, output and kinetics sections in that
+order.  :func:`load_domain` resolves the ``[domain]`` section alone the same
+way, for ``esdib mesh``.
 """
 
 from __future__ import annotations
@@ -33,13 +39,14 @@ from __future__ import annotations
 import configparser
 import inspect
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .kinetics import KineticsParams, default_params, initial_condition
-from .meshgen import DomainSpec, default_resolution
+from .meshgen import DomainSpec
 from .stepper import SolverConfig
 
 _BOOL_WORDS = {
@@ -48,92 +55,42 @@ _BOOL_WORDS = {
 }
 
 
-def _number(minimum=None, exclusive=False):
-    """Parser of a finite float, optionally bounded below."""
+def _converter(convert, what: str):
+    """Parser of a key's text to a typed value by ``convert``; checks no bound."""
 
-    def parse(name: str, text: str) -> float:
+    def parse(name: str, text: str):
         try:
-            value = float(text)
-        except ValueError:
-            raise ConfigError(f"{name} must be a number, got {text!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-        if minimum is not None:
-            if exclusive and not value > minimum:
-                raise ConfigError(f"{name} must be greater than {minimum}, got {value}")
-            if not exclusive and not value >= minimum:
-                raise ConfigError(f"{name} must be at least {minimum}, got {value}")
-        return value
+            return convert(text)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{name} must be {what}, got {text!r}")
 
     return parse
 
 
-def _integer(minimum: int):
-    """Parser of an integer bounded below."""
-
-    def parse(name: str, text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigError(f"{name} must be an integer, got {text!r}")
-        if value < minimum:
-            raise ConfigError(f"{name} must be at least {minimum}, got {value}")
-        return value
-
-    return parse
+_number = _converter(float, "a number")
+_integer = _converter(int, "an integer")
+_boolean = _converter(lambda text: _BOOL_WORDS[text.strip().lower()], "a boolean")
+_text = _converter(str, "text")
+_auto_or_number = _converter(
+    lambda text: None if text.strip().lower() == "auto" else float(text), "a number or auto"
+)
 
 
-def _boolean(name: str, text: str) -> bool:
-    word = text.strip().lower()
-    if word not in _BOOL_WORDS:
-        raise ConfigError(f"{name} must be a boolean, got {text!r}")
-    return _BOOL_WORDS[word]
-
-
-def _kind(name: str, text: str) -> str:
-    if text not in ("square", "sphere"):
-        raise ConfigError(f"{name} must be square or sphere, got {text!r}")
-    return text
-
-
-def _directory(name: str, text: str) -> str:
-    if not text:
-        raise ConfigError(f"{name} must not be empty")
-    # config.ini must read it back as it is, but the INI reader strips a value,
-    # ends it at a line break and drops an inline comment: # or ; after whitespace
-    if text != text.strip() or len(text.splitlines()) > 1 or re.search(r"\s[#;]", text):
-        raise ConfigError(
-            f"{name} must not start or end with whitespace, hold a line break, "
-            f"or have # or ; right after whitespace, got {text!r}"
-        )
-    return text
-
-
-_positive = _number(0.0, exclusive=True)
-_non_negative = _number(0.0)
-
-
-def _auto_or_area(name: str, text: str) -> float | None:
-    return None if text.strip().lower() == "auto" else _positive(name, text)
-
-
-#: section -> key -> parser of its text; the key order is the order of
-#: resolution (and so of error reporting) and of :func:`dump_config`
+#: section -> key -> converter of its text to a typed value; the key order is
+#: the order of conversion and of :func:`dump_config`
 _SCHEMA = {
-    "domain": {"kind": _kind, "size": _positive, "resolution": _integer(1)},
+    "domain": {"kind": _text, "size": _number, "resolution": _integer},
     "kinetics": {
-        "B": _number(), "C": _number(), "rho": _positive, "kappa": _non_negative,
-        "d": _positive, "amplitude": _non_negative, "seed": _integer(0),
-        "shared_noise": _boolean,
+        "B": _number, "C": _number, "rho": _number, "kappa": _number, "d": _number,
+        "amplitude": _number, "seed": _integer, "shared_noise": _boolean,
     },
     "solver": {
-        "tau": _positive, "T": _non_negative, "cg_tol": _positive,
-        "cg_maxiter": _integer(1), "min_triangle_area": _auto_or_area,
-        "min_angle_deg": _non_negative,
+        "tau": _number, "T": _number, "cg_tol": _number, "cg_maxiter": _integer,
+        "min_triangle_area": _auto_or_number, "min_angle_deg": _number,
     },
     "output": {
-        "directory": _directory, "sample_stride": _integer(1),
-        "snapshot_stride": _integer(0), "write_obj": _boolean,
+        "directory": _text, "sample_stride": _integer, "snapshot_stride": _integer,
+        "write_obj": _boolean,
     },
 }
 
@@ -165,36 +122,63 @@ class ExperimentPreset:
     T: float
 
 
-def _preset(pid: int, kind: str, size: float, B: float, C: float, rho: float, T: float) -> ExperimentPreset:
-    spec = DomainSpec(kind=kind, size=size, resolution=default_resolution(kind, size))
-    return ExperimentPreset(preset_id=pid, domain=spec, B=B, C=C, rho=rho, T=T)
-
-
 #: the six canonical experiments: three kinetic regimes (labyrinths at B=30,
 #: spots at B=66, inverted spots at B=62/C=5), each on a flat sheet and on a sphere
 PRESETS: dict[int, ExperimentPreset] = {
-    1: _preset(1, "square", 20.0, 30.0, 3.0, 2.0, 12.0),
-    2: _preset(2, "square", 30.0, 66.0, 3.0, 1.0, 20.0),
-    3: _preset(3, "square", 20.0, 62.0, 5.0, 2.0, 60.0),
-    4: _preset(4, "sphere", 3.0, 30.0, 3.0, 2.0, 12.0),
-    5: _preset(5, "sphere", 10.0, 66.0, 3.0, 1.0, 20.0),
-    6: _preset(6, "sphere", 5.0, 62.0, 5.0, 2.0, 50.0),
+    1: ExperimentPreset(1, DomainSpec("square", 20.0), 30.0, 3.0, 2.0, 12.0),
+    2: ExperimentPreset(2, DomainSpec("square", 30.0), 66.0, 3.0, 1.0, 20.0),
+    3: ExperimentPreset(3, DomainSpec("square", 20.0), 62.0, 5.0, 2.0, 60.0),
+    4: ExperimentPreset(4, DomainSpec("sphere", 3.0), 30.0, 3.0, 2.0, 12.0),
+    5: ExperimentPreset(5, DomainSpec("sphere", 10.0), 66.0, 3.0, 1.0, 20.0),
+    6: ExperimentPreset(6, DomainSpec("sphere", 5.0), 62.0, 5.0, 2.0, 50.0),
 }
 
 
 @dataclass
 class OutputConfig:
-    """Artifact destinations and sampling cadence."""
+    """Artifact destinations and sampling cadence, checked at construction.
+
+    ``directory`` must read back from ``config.ini`` as it is; ``sample_stride``
+    is an integer >= 1 and ``snapshot_stride`` 0 (no periodic snapshots) or a
+    multiple of it.  Invalid values raise ``ValueError``.
+    """
 
     directory: str = "out"
     sample_stride: int = 10
     snapshot_stride: int = 0
     write_obj: bool = False
 
+    def __post_init__(self):
+        text = self.directory
+        if not text:
+            raise ValueError("directory must not be empty")
+        # the INI reader strips a value, ends it at a line break and drops an
+        # inline comment: # or ; after whitespace
+        if text != text.strip() or len(text.splitlines()) > 1 or re.search(r"\s[#;]", text):
+            raise ValueError(
+                "directory must not start or end with whitespace, hold a line break, "
+                f"or have # or ; right after whitespace, got {text!r}"
+            )
+        sample, snapshot = self.sample_stride, self.snapshot_stride
+        if not (isinstance(sample, numbers.Integral) and sample >= 1):
+            raise ValueError(f"sample_stride must be an integer at least 1, got {sample!r}")
+        # snapshots are taken by an observer, which run calls only at sampled steps
+        if not (isinstance(snapshot, numbers.Integral) and snapshot >= 0
+                and snapshot % sample == 0):
+            raise ValueError(
+                f"snapshot_stride must be a multiple of sample_stride ({sample}) "
+                f"and at least 0, got {snapshot!r}"
+            )
+
 
 @dataclass
 class RunConfig:
-    """Fully resolved description of one run."""
+    """Fully resolved description of one run.
+
+    Construction checks the kinetics section: :meth:`kinetics_params` must
+    build, ``amplitude`` be finite and >= 0 and ``seed`` an integer >= 0, or
+    ``ValueError`` is raised.  The other sections are checked by their types.
+    """
 
     domain: DomainSpec
     B: float
@@ -208,6 +192,13 @@ class RunConfig:
     solver: SolverConfig
     output: OutputConfig
     preset_id: int | None = None
+
+    def __post_init__(self):
+        self.kinetics_params()
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
+            raise ValueError(f"amplitude must be finite and at least 0, got {self.amplitude}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer at least 0, got {self.seed!r}")
 
     def kinetics_params(self) -> KineticsParams:
         return default_params(self.B, self.C, rho=self.rho, kappa=self.kappa, d=self.d)
@@ -286,30 +277,32 @@ def _merge(path, preset, overrides) -> dict[str, dict[str, str]]:
     return raw
 
 
+#: the value of a key that no layer sets: NaN, which every owner rejects, so
+#: that :func:`_owned` reports it as missing in the owner's own order of checks
+_MISSING = math.nan
+
+
 def _parse(raw: dict[str, dict[str, str]], section: str) -> dict:
-    """Typed values of one merged section, checked key by key in schema order."""
+    """Typed values of one merged section, converted key by key in schema order."""
     texts = raw[section]
     values = {}
     for key, parse in _SCHEMA[section].items():
-        name = f"{section}.{key}"
         if key in texts:
-            values[key] = parse(name, texts[key])
-        elif key == "resolution":
-            values[key] = default_resolution(values["kind"], values["size"])
-        else:
-            raise ConfigError(f"missing required config value {name}")
-        if key == "T" and not math.isfinite(values["T"] / values["tau"]):
-            raise ConfigError(
-                f"solver.T / solver.tau must be a finite number of steps, got "
-                f"{values['T']!r} / {values['tau']!r}"
-            )
-        # snapshots are taken by an observer, which run calls only at sampled steps
-        if key == "snapshot_stride" and values[key] % values["sample_stride"] != 0:
-            raise ConfigError(
-                "output.snapshot_stride must be a multiple of output.sample_stride "
-                f"({values['sample_stride']}), got {values[key]}"
-            )
+            values[key] = parse(f"{section}.{key}", texts[key])
+        elif key != "resolution":  # DomainSpec resolves a missing resolution
+            values[key] = _MISSING
     return values
+
+
+def _owned(section: str, owner, values: dict):
+    """``owner(**values)``; its rejection, which starts with a key, names ``section.key``."""
+    try:
+        return owner(**values)
+    except (ValueError, ConfigError) as e:
+        key = str(e).split()[0]
+        if values.get(key) is _MISSING:
+            raise ConfigError(f"missing required config value {section}.{key}") from None
+        raise ConfigError(f"{section}.{e}") from e
 
 
 def load_config(path=None, preset=None, overrides=None) -> RunConfig:
@@ -332,13 +325,13 @@ def load_config(path=None, preset=None, overrides=None) -> RunConfig:
     """
     raw = _merge(path, preset, overrides)
     values = {section: _parse(raw, section) for section in _SCHEMA}
-    return RunConfig(
-        domain=DomainSpec(**values["domain"]),
-        **values["kinetics"],
-        solver=SolverConfig(**values["solver"]),
-        output=OutputConfig(**values["output"]),
+    return _owned("kinetics", RunConfig, dict(
+        values["kinetics"],
+        domain=_owned("domain", DomainSpec, values["domain"]),
+        solver=_owned("solver", SolverConfig, values["solver"]),
+        output=_owned("output", OutputConfig, values["output"]),
         preset_id=None if preset is None else PRESETS[preset].preset_id,
-    )
+    ))
 
 
 def load_domain(preset=None, overrides=None) -> DomainSpec:
@@ -347,7 +340,7 @@ def load_domain(preset=None, overrides=None) -> DomainSpec:
     Only the ``[domain]`` values are parsed, so a mesh needs no kinetics or
     final time.  Raises :class:`ConfigError` as :func:`load_config` does.
     """
-    return DomainSpec(**_parse(_merge(None, preset, overrides), "domain"))
+    return _owned("domain", DomainSpec, _parse(_merge(None, preset, overrides), "domain"))
 
 
 def dump_config(cfg: RunConfig) -> str:

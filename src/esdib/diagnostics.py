@@ -189,7 +189,8 @@ def area_growth_fit(times, areas) -> AreaGrowthFit:
     Raises
     ------
     DataError
-        Fewer than 10 samples, or a non-positive area value.
+        Fewer than 10 samples, a time or area that is not finite, or a
+        non-positive area value.
     """
     t = np.asarray(times, dtype=np.float64)
     a = np.asarray(areas, dtype=np.float64)
@@ -197,6 +198,8 @@ def area_growth_fit(times, areas) -> AreaGrowthFit:
         raise DataError("times and areas must be 1-d arrays of equal length")
     if t.size < 10:
         raise DataError(f"need at least 10 samples for a growth fit, got {t.size}")
+    if not (np.isfinite(t).all() and np.isfinite(a).all()):
+        raise DataError("times and areas must be finite")
     if a.min() <= 0.0:
         raise DataError("areas must be positive for an exponential fit")
     log_a = np.log(a)

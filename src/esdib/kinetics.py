@@ -51,15 +51,15 @@ class KineticsParams:
     kappa: float
 
     def __post_init__(self):
-        values = [getattr(self, f) for f in self.__dataclass_fields__]
-        if not all(np.isfinite(v) for v in values):
-            raise ValueError("kinetics parameters must be finite")
+        for name in self.__dataclass_fields__:
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.d <= 0.0:
-            raise ValueError(f"diffusivity ratio d must be positive, got {self.d}")
+            raise ValueError(f"d must be positive, got {self.d}")
         if self.rho <= 0.0:
-            raise ValueError(f"scaling rho must be positive, got {self.rho}")
+            raise ValueError(f"rho must be positive, got {self.rho}")
         if self.kappa < 0.0:
-            raise ValueError(f"growth coefficient kappa must be >= 0, got {self.kappa}")
+            raise ValueError(f"kappa must be at least 0, got {self.kappa}")
 
 
 def equilibrium_D(C: float, alpha: float, gamma: float) -> float:

@@ -73,33 +73,36 @@ class DomainSpec:
 
     ``kind`` is ``"square"`` (``size`` = edge length, ``resolution`` = grid
     divisions per edge) or ``"sphere"`` (``size`` = radius, ``resolution`` =
-    icosphere subdivision level).
+    icosphere subdivision level).  ``resolution=None`` is the finest whose edge
+    length stays near ``_DEFAULT_EDGE``.  An unknown kind, a size that is not
+    positive and finite, or a resolution that is not an integer >= 1 raises
+    :class:`ConfigError`.
     """
 
     kind: str
     size: float
-    resolution: int
+    resolution: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("square", "sphere"):
-            raise ConfigError(f"unknown domain kind {self.kind!r}")
+            raise ConfigError(f"kind must be square or sphere, got {self.kind!r}")
         if not (self.size > 0.0 and math.isfinite(self.size)):
-            raise ConfigError(f"domain size must be positive, got {self.size}")
+            raise ConfigError(f"size must be positive, got {self.size}")
+        if self.resolution is None:
+            if self.kind == "square":
+                resolution = max(1, round(self.size / _DEFAULT_EDGE))
+            else:  # unit icosphere edge at level l is about 1.0515 / 2**l
+                resolution = max(1, math.ceil(math.log2(1.0515 * self.size / _DEFAULT_EDGE)))
+            object.__setattr__(self, "resolution", resolution)
         if not (isinstance(self.resolution, numbers.Integral) and self.resolution >= 1):
             raise ConfigError(
-                f"domain resolution must be an integer >= 1, got {self.resolution!r}"
+                f"resolution must be an integer at least 1, got {self.resolution!r}"
             )
 
 
 def default_resolution(kind: str, size: float) -> int:
-    """Finest resolution whose edge length stays near ``_DEFAULT_EDGE``."""
-    if kind == "square":
-        return max(1, round(size / _DEFAULT_EDGE))
-    if kind == "sphere":
-        # unit icosphere edge at level l is about 1.0515 / 2**l
-        base_edge = 1.0515 * size
-        return max(1, math.ceil(math.log2(base_edge / _DEFAULT_EDGE)))
-    raise ConfigError(f"unknown domain kind {kind!r}")
+    """The resolution a :class:`DomainSpec` of this kind and size resolves to."""
+    return DomainSpec(kind, size).resolution
 
 
 def build_domain(spec: DomainSpec) -> SurfaceMesh:

@@ -73,18 +73,18 @@ class SolverConfig:
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not (self.T >= 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"time span T must be >= 0, got {self.T}")
+            raise ValueError(f"T must be at least 0, got {self.T}")
         if not (self.cg_tol > 0.0 and math.isfinite(self.cg_tol)):
             raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
         if not math.isfinite(self.T / self.tau):
             raise ValueError(f"T / tau must be a finite number of steps, got {self.T} / {self.tau}")
         if not (isinstance(self.cg_maxiter, numbers.Integral) and self.cg_maxiter >= 1):
-            raise ValueError(f"cg_maxiter must be an integer >= 1, got {self.cg_maxiter!r}")
+            raise ValueError(f"cg_maxiter must be an integer at least 1, got {self.cg_maxiter!r}")
         area = self.min_triangle_area
         if area is not None and not (area > 0.0 and math.isfinite(area)):
-            raise ValueError(f"min_triangle_area must be positive or None, got {area}")
+            raise ValueError(f"min_triangle_area must be positive, or auto (None), got {area}")
         if not (self.min_angle_deg >= 0.0 and math.isfinite(self.min_angle_deg)):
-            raise ValueError(f"min_angle_deg must be >= 0, got {self.min_angle_deg}")
+            raise ValueError(f"min_angle_deg must be at least 0, got {self.min_angle_deg}")
 
     @property
     def n_steps(self) -> int:
@@ -377,25 +377,22 @@ def run(
     mass, mesh quality, area threshold and, on a frozen surface with
     ``kappa = 0``, the system matrices) is built once, before the first step.
     Samples of the chain's ``(state, mass, quality)`` are recorded at step 0,
-    every ``stride`` steps, and at the final step; observers are called at
-    each sample with the state and the current lumped mass diagonal.  A
-    degeneracy stop ends the run cleanly: the last valid state is sampled
-    once, returned, and the series is flagged as stopped.
+    every ``stride`` steps (an integer, at least 1), and at the final step;
+    observers are called at each sample with the state and the current lumped
+    mass diagonal.  A degeneracy stop ends the run cleanly: the last valid
+    state is sampled once, returned, and the series is flagged as stopped.
 
     Returns
     -------
     (SimState, DiagnosticsSeries)
-        Final (or last valid) state and the recorded series.  ``T = 0``
-        returns the initial state and an empty series.
+        Final (or last valid) state and the recorded series.  With ``T = 0``
+        the series holds the one sample of step 0, and the returned state is
+        a new state with the initial time, mesh nodes and fields.
     """
     _check_state(initial)
-    if stride < 1:
-        raise ValueError(f"sampling stride must be >= 1, got {stride}")
-    n_steps = cfg.n_steps
+    if not (isinstance(stride, numbers.Integral) and stride >= 1):
+        raise ValueError(f"sampling stride must be an integer at least 1, got {stride!r}")
     series = DiagnosticsSeries(evolving=params.kappa != 0.0)
-    if n_steps == 0:
-        return initial, series
-
     # an own handle on the same arrays keeps the geometry cache off the caller's
     # mesh, and only the states hold it, so it goes once the run moves on
     chain = _steps(
@@ -404,7 +401,7 @@ def run(
     )
     try:
         # the range comes first, so zip asks the chain for no step past the last
-        for k, sample in zip(range(n_steps + 1), chain):
+        for k, sample in zip(range(cfg.n_steps + 1), chain):
             if k % stride == 0:
                 series.record(*sample)
                 for obs in observers:

@@ -197,7 +197,7 @@ class TestUsageErrors:
     def test_step_count_that_overflows(self, tmp_path, capsys, overrides):
         out = tmp_path / "x"
         assert run_main("run", "--preset", "4", *overrides, "--out", str(out)) == 2
-        assert "solver.T / solver.tau must be a finite number" in capsys.readouterr().err
+        assert "solver.T / tau must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("name", ["a #b", "a\t;b", "trail ", "two\nlines"])

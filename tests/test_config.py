@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from esdib import PRESETS, ConfigError, dump_config, load_config
-from esdib.config import load_domain
+from esdib.config import OutputConfig, load_domain
 
 
 class TestPresets:
@@ -194,20 +194,20 @@ class TestValidation:
         "override,fragment",
         [
             ({"solver.tau": "abc"}, "solver.tau must be a number"),
-            ({"solver.tau": "-0.1"}, "solver.tau must be greater than"),
+            ({"solver.tau": "-0.1"}, "solver.tau must be positive"),
             ({"solver.T": "-1"}, "solver.T must be at least"),
-            ({"kinetics.seed": "-1"}, "kinetics.seed must be at least"),
+            ({"kinetics.seed": "-1"}, "kinetics.seed must be an integer at least 0"),
             ({"kinetics.seed": "1.5"}, "kinetics.seed must be an integer"),
             ({"kinetics.shared_noise": "maybe"}, "kinetics.shared_noise must be a boolean"),
             ({"domain.kind": "torus"}, "domain.kind must be square or sphere"),
-            ({"output.sample_stride": "0"}, "output.sample_stride must be at least"),
+            ({"output.sample_stride": "0"}, "output.sample_stride must be an integer at least 1"),
             ({"kinetics.kappa": "-0.2"}, "kinetics.kappa must be at least"),
             (
                 {"output.sample_stride": "10", "output.snapshot_stride": "15"},
-                "output.snapshot_stride must be a multiple of output.sample_stride",
+                "output.snapshot_stride must be a multiple of sample_stride",
             ),
-            ({"solver.T": "1e308"}, "solver.T / solver.tau must be a finite number of steps"),
-            ({"solver.tau": "1e-320"}, "solver.T / solver.tau must be a finite number of steps"),
+            ({"solver.T": "1e308"}, "solver.T / tau must be a finite number of steps"),
+            ({"solver.tau": "1e-320"}, "solver.T / tau must be a finite number of steps"),
             ({"output.directory": " lead"}, "output.directory must not start"),
             ({"output.directory": "trail "}, "output.directory must not start"),
             ({"output.directory": "runs/a #b"}, "output.directory must not start"),
@@ -215,11 +215,44 @@ class TestValidation:
             ({"output.directory": "runs/a ;b"}, "output.directory must not start"),
             ({"output.directory": "two\nlines"}, "output.directory must not start"),
             ({"output.directory": "cr\rreturn"}, "output.directory must not start"),
+            ({"domain.kind": "sphere", "domain.size": "-1"}, "domain.size must be positive"),
+            ({"domain.size": "nan"}, "domain.size must be positive"),
+            ({"domain.resolution": "0"}, "domain.resolution must be an integer at least 1"),
+            ({"kinetics.amplitude": "-1"}, "kinetics.amplitude must be finite and at least 0"),
+            ({"kinetics.B": "inf"}, "kinetics.B must be finite"),
+            ({"kinetics.d": "0"}, "kinetics.d must be positive"),
+            ({"kinetics.rho": "-1"}, "kinetics.rho must be positive"),
+            ({"solver.cg_tol": "0"}, "solver.cg_tol must be positive"),
+            ({"solver.cg_maxiter": "0"}, "solver.cg_maxiter must be an integer at least 1"),
+            (
+                {"solver.min_triangle_area": "0"},
+                "solver.min_triangle_area must be positive, or auto",
+            ),
+            ({"solver.min_angle_deg": "-1"}, "solver.min_angle_deg must be at least 0"),
+            (
+                {"output.snapshot_stride": "-10"},
+                "output.snapshot_stride must be a multiple of sample_stride",
+            ),
+            ({"output.directory": ""}, "output.directory must not be empty"),
         ],
     )
     def test_bad_values_name_section_and_key(self, override, fragment):
         with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
             load_config(preset=1, overrides=override)
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"snapshot_stride": 3}, {"directory": " x"}, {"sample_stride": 0}],
+    )
+    def test_output_config_checks_its_values(self, values):
+        with pytest.raises(ValueError):
+            OutputConfig(**values)
+
+    def test_run_config_checks_its_kinetics(self):
+        cfg = load_config(preset=1)
+        for field, bad in (("rho", -1.0), ("B", float("nan")), ("amplitude", -1.0), ("seed", -1)):
+            with pytest.raises(ValueError, match=field):
+                replace(cfg, **{field: bad})
 
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError, match="section.key"):

@@ -243,6 +243,13 @@ class TestAreaGrowthFit:
             area_growth_fit(np.arange(12.0), np.linspace(-1.0, 1.0, 12))
         with pytest.raises(DataError):
             area_growth_fit(np.arange(12.0), np.ones(13))
+        for times, areas in (
+            (np.arange(12.0), np.r_[np.ones(11), np.nan]),
+            (np.arange(12.0), np.r_[np.ones(11), np.inf]),
+            (np.r_[np.arange(11.0), np.nan], np.exp(np.arange(12.0))),
+        ):
+            with pytest.raises(DataError, match="finite"):
+                area_growth_fit(times, areas)
 
 
 @pytest.mark.slow

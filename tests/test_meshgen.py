@@ -204,3 +204,7 @@ class TestDomainSpec:
         for bad in (2.5, 2.0, "2"):
             with pytest.raises(ConfigError, match="resolution must be an integer"):
                 DomainSpec("square", 2.0, bad)
+
+    def test_resolution_defaults_to_target_edge(self):
+        assert DomainSpec("square", 2.0).resolution == 10
+        assert DomainSpec("sphere", 3.0) == DomainSpec("sphere", 3.0, 4)

@@ -244,7 +244,7 @@ class TestSolverConfig:
             SolverConfig(tau=0.0)
         with pytest.raises(ValueError):
             SolverConfig(tau=-0.1)
-        with pytest.raises(ValueError, match="time span T must be >= 0"):
+        with pytest.raises(ValueError, match="T must be at least 0"):
             SolverConfig(T=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(cg_tol=0.0)
@@ -512,8 +512,11 @@ class TestRun:
 
     def test_zero_horizon_returns_initial_state(self):
         final, series = run(self.state, self.params, SolverConfig(tau=0.1, T=0.0))
-        assert final is self.state
-        assert len(series.samples) == 0
+        assert (final.t, final.step_index) == (self.state.t, 0)
+        assert np.array_equal(final.mesh.nodes, self.state.mesh.nodes)
+        assert np.array_equal(final.eta, self.state.eta)
+        assert np.array_equal(final.theta, self.state.theta)
+        assert [s.t for s in series.samples] == [self.state.t]
 
     def test_T_is_a_span_from_the_initial_time(self):
         start = make_state(self.mesh, self.state.eta, self.state.theta, t=2.0)
@@ -574,6 +577,9 @@ class TestRun:
     def test_bad_stride_rejected(self):
         with pytest.raises(ValueError):
             run(self.state, self.params, SolverConfig(), stride=0)
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="stride must be an integer"):
+                run(self.state, self.params, SolverConfig(), stride=bad)
 
     def test_frozen_surface_run_matches_stationary_solver(self):
         # the reference rebuilds every operator each step; run builds them once
