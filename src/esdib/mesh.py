@@ -1,10 +1,11 @@
 """Triangulated surfaces whose node positions move while connectivity stays fixed.
 
 The central object is :class:`SurfaceMesh`: a triangle mesh validated once at
-construction (index ranges, consistent winding, manifoldness, no zero-area
-triangle) whose triangles and boundary flags never change afterwards.  Time
-stepping only moves nodes, so :func:`displace_nodes` returns a new mesh that
-shares connectivity with the old one and skips re-validation.
+construction (integral indices in range, every node in a triangle, consistent
+winding, manifoldness, no zero-area triangle) whose triangles and boundary
+flags never change afterwards.  Time stepping only moves nodes, so
+:func:`displace_nodes` returns a new mesh that shares connectivity with the
+old one; nothing built from a mesh's connectivity checks it again.
 
 All geometric queries (areas, vertex normals, quality metrics, and the lumped
 mass and stiffness) read one per-triangle geometry pass: edge vectors, the
@@ -71,9 +72,10 @@ class SurfaceMesh:
     Raises
     ------
     MeshStructureError
-        No triangles, index out of range, an edge traversed twice in the
-        same direction (inconsistent winding or duplicated triangle), or an
-        edge shared by more than two triangles (non-manifold).
+        No triangles, an index that is not an integer or is out of range, an
+        edge traversed twice in the same direction (inconsistent winding or
+        duplicated triangle), an edge shared by more than two triangles
+        (non-manifold), or a node that belongs to no triangle.
     DegenerateGeometryError
         A triangle with zero area (including repeated vertices).
     NumericsError
@@ -84,28 +86,26 @@ class SurfaceMesh:
 
     def __init__(self, nodes, triangles):
         nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-        triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        triangles = np.asarray(triangles)
         if nodes.ndim != 2 or nodes.shape[1] != 3:
-            raise MeshStructureError(
-                f"nodes must have shape (n, 3), got {nodes.shape}"
-            )
+            raise MeshStructureError(f"nodes must have shape (n, 3), got {nodes.shape}")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
-            raise MeshStructureError(
-                f"triangles must have shape (m, 3), got {triangles.shape}"
-            )
+            raise MeshStructureError(f"triangles must have shape (m, 3), got {triangles.shape}")
         if triangles.shape[0] == 0:
             raise MeshStructureError("a surface mesh needs at least one triangle")
         if not np.isfinite(nodes).all():
             bad = int(np.flatnonzero(~np.isfinite(nodes).all(axis=1))[0])
             raise NumericsError(f"node {bad} has non-finite coordinates")
+        # checked before the cast to int64, which would truncate 1.7 and overflow on
+        # 1e30; NaN is not integral, and an infinity is out of range
+        if triangles.dtype.kind == "f" and (np.floor(triangles) != triangles).any():
+            bad = int(np.flatnonzero((np.floor(triangles) != triangles).any(axis=1))[0])
+            raise MeshStructureError(f"triangle {bad} has an index that is not an integer")
         n = nodes.shape[0]
         if triangles.min() < 0 or triangles.max() >= n:
-            bad = int(
-                np.flatnonzero(((triangles < 0) | (triangles >= n)).any(axis=1))[0]
-            )
-            raise MeshStructureError(
-                f"triangle {bad} references a node outside [0, {n})"
-            )
+            bad = int(np.flatnonzero(((triangles < 0) | (triangles >= n)).any(axis=1))[0])
+            raise MeshStructureError(f"triangle {bad} references a node outside [0, {n})")
+        triangles = np.ascontiguousarray(triangles, dtype=np.int64)
 
         # twice the areas as the geometry pass computes them, without the whole pass
         _, e1, e2 = _edges(nodes, triangles)
@@ -150,19 +150,22 @@ class SurfaceMesh:
 
 
 def _boundary_flags(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Validate edge usage and return the boundary-node mask.
+    """Validate node and edge usage and return the boundary-node mask.
 
-    Each directed edge may appear at most once (consistent winding), each
-    undirected edge at most twice (manifold).  Undirected edges used once
-    are boundary edges.
+    Every node must be in a triangle, each directed edge may appear at most
+    once (consistent winding) and each undirected edge at most twice
+    (manifold).  Undirected edges used once are boundary edges.
 
-    One sort serves both checks: an edge's key is its undirected code
+    One sort serves both edge checks: an edge's key is its undirected code
     ``lo * n + hi`` times two, plus one when it runs from ``hi`` to ``lo``.
     Runs of equal ``key >> 1`` are the uses of one undirected edge, and two
     equal neighbouring keys are a directed edge used twice.  ``triangles``
     is the constructor's int64 array, so the keys cannot overflow.
     """
     u = triangles.ravel()
+    uses = np.bincount(u, minlength=n_nodes)
+    if not uses.all():
+        raise MeshStructureError(f"node {int(np.argmin(uses))} belongs to no triangle")
     v = np.roll(triangles, -1, axis=1).ravel()
     keys = (np.minimum(u, v) * n_nodes + np.maximum(u, v)) * 2 + (u > v)
     keys.sort()
@@ -275,12 +278,8 @@ def _reject_zero_area(areas: np.ndarray) -> None:
 
 
 def _geometry(mesh: SurfaceMesh) -> _TriangleGeometry:
-    """The mesh's cached geometry pass, computed on first use.
-
-    Meshes built without ``__init__`` (bypassing validation) have no cache
-    slot set yet; they get one on first use like any other mesh.
-    """
-    geometry = getattr(mesh, "_geometry", None)
+    """The mesh's cached geometry pass, computed on first use."""
+    geometry = mesh._geometry
     if geometry is None:
         geometry = _geometry_pass(mesh.nodes, mesh.triangles)
         mesh._geometry = geometry
@@ -302,12 +301,12 @@ def assemble_lumped_mass(
 ) -> np.ndarray:
     """Lumped mass diagonal: each triangle spreads a third of its area to its nodes.
 
-    Returns the (n_nodes,) diagonal itself, which sums to the surface area.
-    ``pattern`` is built when omitted; it raises :class:`MeshStructureError`
-    for a node in no triangle, whose zero mass would make the systems singular.
+    Returns the (n_nodes,) diagonal itself, which sums to the surface area
+    and is positive at every node, since every node belongs to a triangle.
+    ``pattern`` is built when omitted.
     """
     if pattern is None:
-        pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
+        pattern = StiffnessPattern(mesh)
     areas = triangle_areas(mesh)
     _reject_zero_area(areas)
     return pattern.incidence @ (areas / 3.0)
@@ -318,7 +317,10 @@ _BLOCK_DOT = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5], dtype=np.int32)
 
 
 class StiffnessPattern:
-    """Sparse structure of a fixed connectivity, built once and reused.
+    """Sparse structure of a mesh's connectivity, built once and reused.
+
+    The connectivity was validated when the mesh was built, so nothing here
+    checks it; every mesh moved from that one shares it and the pattern.
 
     Attributes
     ----------
@@ -340,15 +342,14 @@ class StiffnessPattern:
     row, and nothing may sort or canonicalise it (``sort_indices``,
     ``sum_duplicates``, a format round trip): that would add the terms in
     dot-major order and change the stiffness bits.
-    A node in no triangle raises :class:`MeshStructureError`.
     """
 
     __slots__ = (
         "n_nodes", "nnz", "indices", "indptr", "diagonal_slots", "incidence", "scatter"
     )
 
-    def __init__(self, triangles: np.ndarray, n_nodes: int):
-        tri = np.asarray(triangles, dtype=np.int64)
+    def __init__(self, mesh: SurfaceMesh):
+        tri, n_nodes = mesh.triangles, mesh.n_nodes
         m = tri.shape[0]
         # The sorted entry codes ``row * n_nodes + col``, built with one code
         # array alive instead of three and every temporary dropped as soon as
@@ -378,12 +379,7 @@ class StiffnessPattern:
         self.incidence = csr_matrix(
             (np.ones(3 * m), tri.ravel(), np.arange(0, 3 * m + 1, 3)), shape=(m, n_nodes)
         ).T.tocsr()
-        per_node = np.diff(self.incidence.indptr)
-        if (per_node == 0).any():
-            bad = int(np.argmin(per_node))
-            raise MeshStructureError(f"node {bad} belongs to no triangle")
-
-        self.n_nodes = int(n_nodes)
+        self.n_nodes = n_nodes
         self.nnz = int(unique_codes.size)
         self.indices = (unique_codes % n_nodes).astype(np.int32)
         rows = np.arange(n_nodes + 1) * n_nodes
@@ -412,7 +408,7 @@ def assemble_stiffness(
         A triangle has zero area (entries would be infinite).
     """
     if pattern is None:
-        pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
+        pattern = StiffnessPattern(mesh)
     geometry = _geometry(mesh)
     doubled = geometry.doubled  # 2 * area
     _reject_zero_area(doubled)
@@ -432,7 +428,7 @@ def compute_node_normals(
     The per-triangle contribution is the cross product of two edges (twice
     the area times the unit normal), so larger triangles weigh more.  The
     accumulated vector is normalised per node.  ``pattern`` is built when
-    omitted, as in :func:`assemble_lumped_mass`.
+    omitted.
 
     Returns
     -------
@@ -441,14 +437,12 @@ def compute_node_normals(
 
     Raises
     ------
-    MeshStructureError
-        A node belongs to no triangle (raised by :class:`StiffnessPattern`).
     DegenerateGeometryError
         The accumulated vector of some node vanishes (the incident
         triangles fold over each other).
     """
     if pattern is None:
-        pattern = StiffnessPattern(mesh.triangles, mesh.n_nodes)
+        pattern = StiffnessPattern(mesh)
     accum = pattern.incidence @ _geometry(mesh).cross
     norms = _row_norms(accum.T)
     if norms.min() == 0.0:

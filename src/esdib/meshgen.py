@@ -75,7 +75,8 @@ class DomainSpec:
     divisions per edge) or ``"sphere"`` (``size`` = radius, ``resolution`` =
     icosphere subdivision level).  ``resolution=None`` is the finest whose edge
     length stays near ``_DEFAULT_EDGE``.  An unknown kind, a size that is not
-    positive and finite, or a resolution that is not an integer >= 1 raises
+    positive and finite, a size so large that its default resolution is not
+    finite, or a resolution that is not an integer >= 1 raises
     :class:`ConfigError`.
     """
 
@@ -89,10 +90,15 @@ class DomainSpec:
         if not (self.size > 0.0 and math.isfinite(self.size)):
             raise ConfigError(f"size must be positive, got {self.size}")
         if self.resolution is None:
-            if self.kind == "square":
-                resolution = max(1, round(self.size / _DEFAULT_EDGE))
-            else:  # unit icosphere edge at level l is about 1.0515 / 2**l
-                resolution = max(1, math.ceil(math.log2(1.0515 * self.size / _DEFAULT_EDGE)))
+            try:  # rounding an infinite target to an integer overflows
+                if self.kind == "square":
+                    resolution = max(1, round(self.size / _DEFAULT_EDGE))
+                else:  # unit icosphere edge at level l is about 1.0515 / 2**l
+                    resolution = max(1, math.ceil(math.log2(1.0515 * self.size / _DEFAULT_EDGE)))
+            except OverflowError:
+                raise ConfigError(
+                    f"size must leave a finite default resolution, got {self.size}"
+                ) from None
             object.__setattr__(self, "resolution", resolution)
         if not (isinstance(self.resolution, numbers.Integral) and self.resolution >= 1):
             raise ConfigError(
@@ -117,12 +123,14 @@ def generate_square(L: float, n: int) -> SurfaceMesh:
 
     Each of the n x n grid cells is split along its diagonal into two right
     triangles, giving (n+1)^2 nodes and 2 n^2 triangles wound so normals
-    point along +z.  The 4 n perimeter nodes form the boundary.
+    point along +z.  The 4 n perimeter nodes form the boundary.  An edge that
+    is not positive and finite, or an ``n`` that is not an integer >= 1,
+    raises :class:`ConfigError`.
     """
-    if L <= 0.0:
-        raise ConfigError(f"square edge must be positive, got {L}")
-    if n < 1:
-        raise ConfigError(f"grid divisions must be at least 1, got {n}")
+    if not (L > 0.0 and math.isfinite(L)):
+        raise ConfigError(f"square edge must be positive and finite, got {L}")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ConfigError(f"grid divisions must be an integer at least 1, got {n!r}")
     ticks = np.linspace(0.0, L, n + 1)
     nodes = np.column_stack(
         [
@@ -149,12 +157,14 @@ def generate_icosphere(R: float, level: int) -> SurfaceMesh:
     Starts from the regular icosahedron and applies ``level`` rounds of
     midpoint subdivision, projecting every new vertex back onto the sphere.
     Vertex and face counts are 10 * 4**level + 2 and 20 * 4**level; shared
-    edge midpoints are deduplicated so the surface stays closed.
+    edge midpoints are deduplicated so the surface stays closed.  A radius
+    that is not positive and finite, or a ``level`` that is not an integer
+    >= 0, raises :class:`ConfigError`.
     """
-    if R <= 0.0:
-        raise ConfigError(f"sphere radius must be positive, got {R}")
-    if level < 0:
-        raise ConfigError(f"subdivision level must be non-negative, got {level}")
+    if not (R > 0.0 and math.isfinite(R)):
+        raise ConfigError(f"sphere radius must be positive and finite, got {R}")
+    if not (isinstance(level, numbers.Integral) and level >= 0):
+        raise ConfigError(f"subdivision level must be an integer at least 0, got {level!r}")
     nodes = _ICO_VERTS * (R / np.linalg.norm(_ICO_VERTS[0]))
     faces = _ICO_FACES
     for _ in range(level):

@@ -268,7 +268,7 @@ def _steps(
     falls below the thresholds.
     """
     tau = cfg.tau
-    pattern = StiffnessPattern(state.mesh.triangles, state.mesh.n_nodes)
+    pattern = StiffnessPattern(state.mesh)
     mass = assemble_lumped_mass(state.mesh, pattern)
     quality = mesh_quality(state.mesh)
     min_area = cfg.min_triangle_area

@@ -200,6 +200,21 @@ class TestUsageErrors:
         assert "solver.T / tau must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--preset", "4", "--domain.size", "1e308", "--out"),
+            ("run", "--preset", "1", "--domain.size", "1e308", "--out"),
+            ("mesh", "--kind", "square", "--size", "1e308", "-o"),
+            ("mesh", "--kind", "sphere", "--size", "1e308", "-o"),
+        ],
+    )
+    def test_size_without_a_finite_default_resolution(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.vtk"
+        assert run_main(*argv, str(out)) == 2
+        assert "domain.size must leave a finite default resolution" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("name", ["a #b", "a\t;b", "trail ", "two\nlines"])
     def test_directory_config_ini_cannot_record(self, tmp_path, capsys, name):
         out = tmp_path / name

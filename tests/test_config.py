@@ -234,6 +234,11 @@ class TestValidation:
                 "output.snapshot_stride must be a multiple of sample_stride",
             ),
             ({"output.directory": ""}, "output.directory must not be empty"),
+            ({"domain.size": "1e308"}, "domain.size must leave a finite default resolution"),
+            (
+                {"domain.kind": "sphere", "domain.size": "1e308"},
+                "domain.size must leave a finite default resolution",
+            ),
         ],
     )
     def test_bad_values_name_section_and_key(self, override, fragment):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,33 @@ class TestConstruction:
     def test_negative_index_rejected(self):
         with pytest.raises(MeshStructureError):
             SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, -1]])
+
+    @pytest.mark.parametrize(
+        "index,fragment",
+        [(1.7, "is not an integer"), (np.nan, "is not an integer"), (-0.5, "is not an integer"),
+         (np.inf, "outside"), (-np.inf, "outside"), (1e30, "outside")],
+    )
+    def test_float_index_that_is_no_node_rejected(self, index, fragment):
+        nodes = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning on the way
+            with pytest.raises(MeshStructureError, match=f"triangle 1 .*{fragment}"):
+                SurfaceMesh(nodes, [[0, 1, 2], [1, 3, index]])
+
+    def test_integral_float_indices_accepted(self):
+        nodes = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
+        mesh = SurfaceMesh(nodes, np.array([[0.0, 1.0, 2.0], [1.0, 3.0, 2.0]]))
+        assert mesh.triangles.dtype == np.int64
+        assert np.array_equal(mesh.triangles, [[0, 1, 2], [1, 3, 2]])
+
+    @pytest.mark.parametrize("unused", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_unused_node_rejected(self, unused):
+        # a node in no triangle would get zero mass and make the systems singular
+        square = np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+        nodes = np.insert(square, unused, [5.0, 5, 5], axis=0)
+        corner = np.delete(np.arange(5), unused)  # the new number of each corner
+        with pytest.raises(MeshStructureError, match=f"node {unused} belongs to no triangle"):
+            SurfaceMesh(nodes, corner[[[0, 1, 2], [0, 2, 3]]])
 
     def test_inconsistent_winding_rejected(self):
         # both triangles traverse the shared edge from node 2 to node 0
@@ -186,13 +215,6 @@ class TestNormals:
         cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         resultant = np.linalg.norm(0.5 * cross.sum(axis=0))
         assert resultant <= 1e-10 * surface_area(mesh)
-
-    def test_isolated_node_rejected(self):
-        mesh = SurfaceMesh(
-            [[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]], [[0, 1, 2]]
-        )
-        with pytest.raises(MeshStructureError, match="node 3"):
-            compute_node_normals(mesh)
 
     def test_folded_fan_rejected(self):
         # two coincident triangles with opposite winding cancel exactly

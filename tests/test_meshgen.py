@@ -82,6 +82,13 @@ class TestSquare:
             generate_square(-1.0, 4)
         with pytest.raises(ConfigError):
             generate_square(1.0, 0)
+        for edge in (np.inf, np.nan):
+            with pytest.raises(ConfigError, match="square edge must be positive and finite"):
+                generate_square(edge, 4)
+        for n in (2.5, 2.0, "2"):
+            with pytest.raises(ConfigError, match="grid divisions must be an integer"):
+                generate_square(1.0, n)
+        assert generate_square(1.0, np.int64(2)).n_nodes == 9
 
 
 class TestIcosphere:
@@ -158,6 +165,13 @@ class TestIcosphere:
             generate_icosphere(0.0, 2)
         with pytest.raises(ConfigError):
             generate_icosphere(1.0, -1)
+        for radius in (np.inf, np.nan):
+            with pytest.raises(ConfigError, match="sphere radius must be positive and finite"):
+                generate_icosphere(radius, 1)
+        for level in (2.5, 1.0, "1"):
+            with pytest.raises(ConfigError, match="subdivision level must be an integer"):
+                generate_icosphere(1.0, level)
+        assert generate_icosphere(1.0, np.int64(0)).n_nodes == 12
 
 
 class TestDefaults:
@@ -204,6 +218,9 @@ class TestDomainSpec:
         for bad in (2.5, 2.0, "2"):
             with pytest.raises(ConfigError, match="resolution must be an integer"):
                 DomainSpec("square", 2.0, bad)
+        for kind in ("square", "sphere"):  # the default resolution overflows
+            with pytest.raises(ConfigError, match="size must leave a finite default resolution"):
+                DomainSpec(kind, 1e308)
 
     def test_resolution_defaults_to_target_edge(self):
         assert DomainSpec("square", 2.0).resolution == 10

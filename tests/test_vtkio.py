@@ -7,6 +7,7 @@ import pytest
 
 from esdib import (
     DataError,
+    MeshStructureError,
     SimState,
     SolverConfig,
     SurfaceMesh,
@@ -328,6 +329,15 @@ class TestReadErrors:
         assert np.array_equal(triangles, [[0, 1, 2]]) and data == {}
         _, _, data = read_vtk(self.write(tmp_path, self.ONE_TRIANGLE + self.FIELD))
         assert np.array_equal(data["v"], [1.0, 2.0, 3.0])
+
+    def test_unused_point_is_rejected_by_the_mesh(self, tmp_path):
+        # read_vtk returns the arrays as stored; SurfaceMesh checks the connectivity
+        points = struct.pack(">12d", 0, 0, 0, 1, 0, 0, 0, 1, 0, 5, 5, 5)
+        data = self.HEAD + b"POINTS 4 double\n" + points + b"\n" + self.CELLS + b"\n" + self.TYPES
+        nodes, triangles, _ = read_vtk(self.write(tmp_path, data + b"\n"))
+        assert len(nodes) == 4 and np.array_equal(triangles, [[0, 1, 2]])
+        with pytest.raises(MeshStructureError, match="node 3 belongs to no triangle"):
+            SurfaceMesh(nodes, triangles)
 
     def test_missing_sections(self, tmp_path):
         with pytest.raises(DataError, match="UNSTRUCTURED_GRID"):
