@@ -7,6 +7,7 @@ import pytest
 
 from esdib import (
     DegenerateGeometryError,
+    MeshStructureError,
     SimState,
     SolverConfig,
     StiffnessPattern,
@@ -198,6 +199,14 @@ class TestPatternReuse:
         pattern = StiffnessPattern(bumpy_square)
         K = assemble_stiffness(bumpy_square, pattern)
         assert np.array_equal(K.data[pattern.diagonal_slots], K.diagonal())
+
+    def test_mass_rejects_isolated_node(self):
+        # a node without triangles would get zero mass and a singular system;
+        # the mesh that holds one is refused before any mass is assembled
+        with pytest.raises(MeshStructureError, match="node 3 belongs to no triangle"):
+            assemble_lumped_mass(
+                SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]], [[0, 1, 2]])
+            )
 
     @pytest.mark.parametrize("mesh", [generate_square(3.0, 30), generate_icosphere(1.0, 3)],
                              ids=["sheet", "sphere"])

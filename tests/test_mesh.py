@@ -216,6 +216,13 @@ class TestNormals:
         resultant = np.linalg.norm(0.5 * cross.sum(axis=0))
         assert resultant <= 1e-10 * surface_area(mesh)
 
+    def test_isolated_node_rejected(self):
+        # the mesh that holds an isolated node is refused before any normal is computed
+        with pytest.raises(MeshStructureError, match="node 3"):
+            compute_node_normals(
+                SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]], [[0, 1, 2]])
+            )
+
     def test_folded_fan_rejected(self):
         # two coincident triangles with opposite winding cancel exactly
         mesh = SurfaceMesh([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2], [0, 2, 1]])
