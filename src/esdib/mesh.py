@@ -61,9 +61,9 @@ class SurfaceMesh:
     Attributes
     ----------
     nodes : ndarray of shape (n_nodes, 3)
-        Read-only coordinate array.
+        Read-only coordinate array, a copy of the ``nodes`` argument.
     triangles : ndarray of shape (n_triangles, 3)
-        Read-only connectivity array.
+        Read-only connectivity array, a copy of the ``triangles`` argument.
     boundary_node : ndarray of bool, shape (n_nodes,)
         True for nodes touching an edge used by exactly one triangle.
         Derived from connectivity at construction; empty boundary on a
@@ -85,7 +85,8 @@ class SurfaceMesh:
     __slots__ = ("nodes", "triangles", "boundary_node", "_geometry")
 
     def __init__(self, nodes, triangles):
-        nodes = np.ascontiguousarray(nodes, dtype=np.float64)
+        # copies, so that the arrays frozen below are the mesh's own, never the caller's
+        nodes = np.array(nodes, dtype=np.float64, order="C")
         triangles = np.asarray(triangles)
         if nodes.ndim != 2 or nodes.shape[1] != 3:
             raise MeshStructureError(f"nodes must have shape (n, 3), got {nodes.shape}")
@@ -105,7 +106,7 @@ class SurfaceMesh:
         if triangles.min() < 0 or triangles.max() >= n:
             bad = int(np.flatnonzero(((triangles < 0) | (triangles >= n)).any(axis=1))[0])
             raise MeshStructureError(f"triangle {bad} references a node outside [0, {n})")
-        triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        triangles = np.array(triangles, dtype=np.int64, order="C")
 
         # twice the areas as the geometry pass computes them, without the whole pass
         _, e1, e2 = _edges(nodes, triangles)

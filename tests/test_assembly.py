@@ -246,6 +246,36 @@ class TestPatternReuse:
             assert np.array_equal(got, want)
 
 
+class TestSquareGridStencil:
+    """``generate_square``'s stiffness is the 5-point stencil.
+
+    Each grid cell is split along its diagonal (v00, v11), and the two angles
+    opposite that diagonal are right angles whose legs are axis-aligned, so
+    their dot product, and with it the diagonal's weight, is exactly 0.0.
+    """
+
+    @pytest.mark.parametrize("L, n", [(20.0, 100), (3.0, 7), (1.0, 1)])
+    def test_split_diagonals_weigh_exactly_zero_and_edges_one(self, L, n):
+        K = assemble_stiffness(generate_square(L, n)).tocoo()
+        size = (n + 1) ** 2
+        codes = K.row.astype(np.int64) * size + K.col
+        i, j = np.tile(np.arange(n), n), np.repeat(np.arange(n), n)
+        v00 = j * (n + 1) + i
+        v11 = v00 + n + 2
+        split = np.concatenate([v00 * size + v11, v11 * size + v00])
+        assert np.array_equal(np.sort(codes[K.data == 0.0]), np.sort(split))  # 2 n^2 entries
+
+        others = (K.row != K.col) & (K.data != 0.0)
+        lo = np.minimum(K.row, K.col)[others]
+        hi = np.maximum(K.row, K.col)[others]
+        ix, iy = lo % (n + 1), lo // (n + 1)
+        horizontal = hi - lo == 1
+        assert np.all(horizontal | (hi - lo == n + 1))
+        on_rim = np.where(horizontal, (iy == 0) | (iy == n), (ix == 0) | (ix == n))
+        expected = np.where(on_rim, -0.5, -1.0)
+        assert K.data[others] == pytest.approx(expected, rel=1e-12)
+
+
 class TestDegenerateInput:
     def collapsed_mesh(self):
         # node motion is the only route by which a zero area reaches the

@@ -33,6 +33,19 @@ class TestConstruction:
         assert not mesh.nodes.flags.writeable
         assert not mesh.triangles.flags.writeable
 
+    def test_caller_arrays_stay_writable_and_apart(self):
+        # float64 nodes and int64 triangles already have the mesh's dtypes, and
+        # the mesh still freezes only copies of its own
+        nodes = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        triangles = np.array([[0, 1, 2], [1, 3, 2]], dtype=np.int64)
+        mesh = SurfaceMesh(nodes, triangles)
+        assert nodes.flags.writeable and triangles.flags.writeable
+        assert not mesh.nodes.flags.writeable and not mesh.triangles.flags.writeable
+        nodes[0] = 9.0
+        triangles[0] = [2, 1, 0]
+        assert np.array_equal(mesh.nodes[0], [0.0, 0.0, 0.0])
+        assert np.array_equal(mesh.triangles[0], [0, 1, 2])
+
     @pytest.mark.parametrize("n_nodes", [0, 3])
     def test_no_triangles_rejected(self, n_nodes):
         with pytest.raises(MeshStructureError, match="at least one triangle"):

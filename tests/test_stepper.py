@@ -675,6 +675,56 @@ class TestRun:
         assert [k for k, _ in seen] == list(range(0, 31, stride))
         assert all(alive <= 1 for _, alive in seen), seen
 
+    def test_frozen_run_is_bitwise_the_same_without_pruning(self, monkeypatch):
+        # dropping the split diagonals' exact zeros changes no bit of a frozen run
+        pruned = []
+
+        def recording(systems, original=stepper._without_zeros):
+            pruned.append(original(systems))
+            return pruned[-1]
+
+        monkeypatch.setattr(stepper, "_without_zeros", recording)
+        cfg = SolverConfig(tau=1e-2, T=0.25)
+        final_a, series_a = run(self.state, self.params, cfg, stride=5)
+        assert [A.nnz for A, _ in pruned[0]] == [369, 369]  # 497 stored, 2 * 8**2 zeros
+        monkeypatch.setattr(stepper, "_without_zeros", lambda systems: systems)
+        final_b, series_b = run(self.state, self.params, cfg, stride=5)
+        assert final_a.step_index == final_b.step_index == 25
+        assert final_a.eta.tobytes() == final_b.eta.tobytes()
+        assert final_a.theta.tobytes() == final_b.theta.tobytes()
+        assert csv_rows(series_a) == csv_rows(series_b)
+
+    @staticmethod
+    def frozen_systems(mesh):
+        pattern = stepper.StiffnessPattern(mesh)
+        mass = assemble_lumped_mass(mesh, pattern)
+        return stepper._diffusion_systems(mesh, pattern, mass, mass, 1e-2, 40.0)
+
+    def test_pruning_returns_systems_without_zeros_as_they_are(self):
+        systems = self.frozen_systems(generate_icosphere(1.0, 2))
+        assert all((A.data != 0.0).all() for A, _ in systems)
+        assert stepper._without_zeros(systems) is systems
+
+    def test_pruned_systems_share_one_structure_in_row_order(self):
+        n = 6
+        systems = self.frozen_systems(generate_square(2.0, n))
+        pruned = stepper._without_zeros(systems)
+        (A_eta, _), (A_theta, _) = pruned
+        assert np.shares_memory(A_eta.indices, A_theta.indices)
+        assert np.shares_memory(A_eta.indptr, A_theta.indptr)
+        x = np.random.default_rng(5).standard_normal(A_eta.shape[0])
+        for (A, diag), (B, kept_diag) in zip(systems, pruned):
+            assert kept_diag is diag
+            assert B.nnz == A.nnz - 2 * n * n and (B.data != 0.0).all()
+            assert B.indices.dtype == A.indices.dtype and B.indptr.dtype == A.indptr.dtype
+            for row in range(A.shape[0]):
+                full = slice(A.indptr[row], A.indptr[row + 1])
+                kept = slice(B.indptr[row], B.indptr[row + 1])
+                nonzero = A.data[full] != 0.0
+                assert np.array_equal(B.indices[kept], A.indices[full][nonzero])
+                assert np.array_equal(B.data[kept], A.data[full][nonzero])
+            assert (B @ x).tobytes() == (A @ x).tobytes()
+
     def test_frozen_run_computes_one_geometry_pass(self, monkeypatch):
         passes = count_geometry_passes(monkeypatch)
         run(self.state, self.params, SolverConfig(tau=1e-2, T=0.1), stride=1)
