@@ -189,8 +189,8 @@ def area_growth_fit(times, areas) -> AreaGrowthFit:
     Raises
     ------
     DataError
-        Fewer than 10 samples, a time or area that is not finite, or a
-        non-positive area value.
+        Fewer than 10 samples, a time or area that is not finite, times
+        that are all equal (no slope to fit), or a non-positive area value.
     """
     t = np.asarray(times, dtype=np.float64)
     a = np.asarray(areas, dtype=np.float64)
@@ -200,6 +200,8 @@ def area_growth_fit(times, areas) -> AreaGrowthFit:
         raise DataError(f"need at least 10 samples for a growth fit, got {t.size}")
     if not (np.isfinite(t).all() and np.isfinite(a).all()):
         raise DataError("times and areas must be finite")
+    if t.min() == t.max():
+        raise DataError(f"times must vary for a growth fit, all are {float(t[0])}")
     if a.min() <= 0.0:
         raise DataError("areas must be positive for an exponential fit")
     log_a = np.log(a)

@@ -4,8 +4,9 @@ The central object is :class:`SurfaceMesh`: a triangle mesh validated once at
 construction (integral indices in range, every node in a triangle, consistent
 winding, manifoldness, no zero-area triangle) whose triangles and boundary
 flags never change afterwards.  Time stepping only moves nodes, so
-:func:`displace_nodes` returns a new mesh that shares connectivity with the
-old one; nothing built from a mesh's connectivity checks it again.
+:func:`displace_nodes` returns a new mesh that shares connectivity, and the
+sparse structure built from it, with the old one; nothing built from a mesh's
+connectivity checks it again.
 
 All geometric queries (areas, vertex normals, quality metrics, and the lumped
 mass and stiffness) read one per-triangle geometry pass: edge vectors, the
@@ -25,8 +26,9 @@ The two finite element operators assembled from the pass are
   ``K_ij = dot(e_i, e_j) / (4 A)`` where ``e_i`` is the edge opposite vertex
   ``i`` (the classic cotangent weights, written via in-plane P1 gradients).
 
-Connectivity never changes during a run, so its sparse structure is built
-once (:class:`StiffnessPattern`) and reused as the geometry moves.  Every sum
+Connectivity never changes, so its sparse structure (:class:`StiffnessPattern`)
+belongs to it: :attr:`SurfaceMesh.pattern` builds it on first use, and every
+mesh moved from that one shares it as the geometry moves.  Every sum
 from triangles to nodes (normals, lumped mass, stiffness values) is one
 product with a CSR matrix of ones.  scipy's CSR product adds each row's terms
 from 0 in the order they are stored, whatever their column numbers, and every
@@ -68,6 +70,9 @@ class SurfaceMesh:
         True for nodes touching an edge used by exactly one triangle.
         Derived from connectivity at construction; empty boundary on a
         closed surface.
+    pattern : StiffnessPattern
+        Sparse structure of the connectivity, built on first use and shared
+        with every mesh moved from this one.
 
     Raises
     ------
@@ -82,7 +87,7 @@ class SurfaceMesh:
         Non-finite coordinates.
     """
 
-    __slots__ = ("nodes", "triangles", "boundary_node", "_geometry")
+    __slots__ = ("nodes", "triangles", "boundary_node", "_geometry", "_pattern")
 
     def __init__(self, nodes, triangles):
         # copies, so that the arrays frozen below are the mesh's own, never the caller's
@@ -116,12 +121,14 @@ class SurfaceMesh:
         self.triangles = triangles
         self.boundary_node = _boundary_flags(triangles, n)
         self._geometry = None
+        self._pattern = None
         for arr in (self.nodes, self.triangles, self.boundary_node):
             arr.setflags(write=False)
 
     @classmethod
-    def _with_nodes(cls, mesh: "SurfaceMesh", nodes: np.ndarray) -> "SurfaceMesh":
-        # fast path for node motion: connectivity already validated, share it
+    def _with_nodes(cls, mesh: SurfaceMesh, nodes: np.ndarray, pattern=None) -> SurfaceMesh:
+        # fast path for node motion: connectivity already validated, share it and
+        # its pattern, built here if need be; a given ``pattern`` replaces it
         out = cls.__new__(cls)
         nodes = np.ascontiguousarray(nodes, dtype=np.float64)
         nodes.setflags(write=False)
@@ -129,7 +136,14 @@ class SurfaceMesh:
         out.triangles = mesh.triangles
         out.boundary_node = mesh.boundary_node
         out._geometry = None
+        out._pattern = pattern or mesh.pattern
         return out
+
+    @property
+    def pattern(self) -> StiffnessPattern:
+        if not self._pattern:
+            self._pattern = StiffnessPattern(self)
+        return self._pattern
 
     @property
     def n_nodes(self) -> int:
@@ -297,20 +311,15 @@ def surface_area(mesh: SurfaceMesh) -> float:
     return float(triangle_areas(mesh).sum())
 
 
-def assemble_lumped_mass(
-    mesh: SurfaceMesh, pattern: StiffnessPattern | None = None
-) -> np.ndarray:
+def assemble_lumped_mass(mesh: SurfaceMesh) -> np.ndarray:
     """Lumped mass diagonal: each triangle spreads a third of its area to its nodes.
 
     Returns the (n_nodes,) diagonal itself, which sums to the surface area
     and is positive at every node, since every node belongs to a triangle.
-    ``pattern`` is built when omitted.
     """
-    if pattern is None:
-        pattern = StiffnessPattern(mesh)
     areas = triangle_areas(mesh)
     _reject_zero_area(areas)
-    return pattern.incidence @ (areas / 3.0)
+    return mesh.pattern.incidence @ (areas / 3.0)
 
 
 #: The row of ``_TriangleGeometry.dots`` in entry ``3 a + b`` of a local block.
@@ -318,10 +327,12 @@ _BLOCK_DOT = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5], dtype=np.int32)
 
 
 class StiffnessPattern:
-    """Sparse structure of a mesh's connectivity, built once and reused.
+    """Sparse structure of a mesh's connectivity, built once per connectivity.
 
     The connectivity was validated when the mesh was built, so nothing here
-    checks it; every mesh moved from that one shares it and the pattern.
+    checks it.  :attr:`SurfaceMesh.pattern` builds one on first use and
+    every mesh moved from that mesh shares it, so a chain of steps, however
+    it is driven, builds it once.
 
     Attributes
     ----------
@@ -389,27 +400,19 @@ class StiffnessPattern:
         self.scatter = csr_matrix((np.ones(9 * m), cols, scatter_ptr), shape=(self.nnz, 6 * m))
 
 
-def assemble_stiffness(
-    mesh: SurfaceMesh, pattern: StiffnessPattern | None = None
-) -> csr_matrix:
+def assemble_stiffness(mesh: SurfaceMesh) -> csr_matrix:
     """Stiffness matrix of the surface Laplacian in CSR form.
 
     Each row sums to zero up to rounding (the operator annihilates
-    constants) and the matrix is symmetric positive semi-definite.
-
-    Parameters
-    ----------
-    pattern : StiffnessPattern, optional
-        Precomputed sparsity for this connectivity; built on the fly when
-        omitted.
+    constants) and the matrix is symmetric positive semi-definite, stored in
+    the structure of ``mesh.pattern``.
 
     Raises
     ------
     DegenerateGeometryError
         A triangle has zero area (entries would be infinite).
     """
-    if pattern is None:
-        pattern = StiffnessPattern(mesh)
+    pattern = mesh.pattern
     geometry = _geometry(mesh)
     doubled = geometry.doubled  # 2 * area
     _reject_zero_area(doubled)
@@ -421,15 +424,12 @@ def assemble_stiffness(
     )
 
 
-def compute_node_normals(
-    mesh: SurfaceMesh, pattern: StiffnessPattern | None = None
-) -> np.ndarray:
+def compute_node_normals(mesh: SurfaceMesh) -> np.ndarray:
     """Outward unit normal at each node, area-weighted over incident triangles.
 
     The per-triangle contribution is the cross product of two edges (twice
     the area times the unit normal), so larger triangles weigh more.  The
-    accumulated vector is normalised per node.  ``pattern`` is built when
-    omitted.
+    accumulated vector is normalised per node.
 
     Returns
     -------
@@ -442,9 +442,7 @@ def compute_node_normals(
         The accumulated vector of some node vanishes (the incident
         triangles fold over each other).
     """
-    if pattern is None:
-        pattern = StiffnessPattern(mesh)
-    accum = pattern.incidence @ _geometry(mesh).cross
+    accum = mesh.pattern.incidence @ _geometry(mesh).cross
     norms = _row_norms(accum.T)
     if norms.min() == 0.0:
         bad = int(np.flatnonzero(norms == 0.0)[0])
@@ -455,7 +453,7 @@ def compute_node_normals(
 
 
 def displace_nodes(mesh: SurfaceMesh, displacement) -> SurfaceMesh:
-    """New mesh with ``nodes + displacement``; connectivity and boundary flags shared.
+    """New mesh with ``nodes + displacement``; connectivity, boundary flags and pattern shared.
 
     Parameters
     ----------

@@ -218,20 +218,16 @@ _System = tuple[csr_matrix, np.ndarray]
 
 
 def _diffusion_systems(
-    mesh: SurfaceMesh,
-    pattern: StiffnessPattern,
-    mass_old: np.ndarray,
-    mass_new: np.ndarray,
-    tau: float,
-    d: float,
+    mesh: SurfaceMesh, mass_old: np.ndarray, mass_new: np.ndarray, tau: float, d: float
 ) -> tuple[_System, _System]:
-    """The eta and theta systems on ``mesh``, in the stiffness's pattern.
+    """The eta and theta systems on ``mesh``, in the structure of ``mesh.pattern``.
 
     ``K + diag(mass_old) / tau`` and ``d K + diag(mass_new) / tau``, each with
     its diagonal, from the lumped mass diagonals; the stiffness ``K`` itself
     is not kept: the eta system is built in its place.
     """
-    A_eta = assemble_stiffness(mesh, pattern)
+    A_eta = assemble_stiffness(mesh)
+    pattern = mesh.pattern
     # built from the data, not as ``d * A_eta``, which copies indices and indptr
     A_theta = csr_matrix((d * A_eta.data, pattern.indices, pattern.indptr), shape=A_eta.shape)
     slots = pattern.diagonal_slots
@@ -285,30 +281,28 @@ def _steps(
 ) -> Iterator[tuple[SimState, np.ndarray, MeshQuality]]:
     """The chain of steps from ``state``, one state after the other, without end.
 
-    Builds the start-up once: the pattern, the lumped mass, the mesh quality,
-    the resolved ``min_triangle_area`` and, at ``kappa = 0``, the constant
-    geometry ``(mesh, mass, quality, systems)`` that every step then reuses.
+    Builds the start-up once: the lumped mass, the mesh quality, the resolved
+    ``min_triangle_area`` and, at ``kappa = 0``, the constant geometry
+    ``(mesh, mass, quality, systems)`` that every step then reuses; the
+    pattern is the one ``state.mesh`` carries, which every moved mesh shares.
     Yields ``state`` first, then each new state, each with its mass and the
     quality of its mesh.  Raises :class:`DegeneracyStop` when a moved mesh
     falls below the thresholds.
     """
     tau = cfg.tau
-    pattern = StiffnessPattern(state.mesh)
-    mass = assemble_lumped_mass(state.mesh, pattern)
+    mass = assemble_lumped_mass(state.mesh)
     quality = mesh_quality(state.mesh)
     min_area = cfg.min_triangle_area
     if min_area is None:
         min_area = 1e-12 * (float(mass.sum()) / state.mesh.n_triangles)
     frozen = None  # a moving chain keeps no handle on its first mesh
     if params.kappa == 0.0:
-        systems = _without_zeros(
-            _diffusion_systems(state.mesh, pattern, mass, mass, tau, params.d)
-        )
+        systems = _without_zeros(_diffusion_systems(state.mesh, mass, mass, tau, params.d))
         frozen = (state.mesh, mass, quality, systems)
 
     def move(state: SimState, mass: np.ndarray):
         """The moved mesh, its mass, its quality and the systems on it."""
-        normals = compute_node_normals(state.mesh, pattern)
+        normals = compute_node_normals(state.mesh)
         displacement = (tau * params.kappa) * state.eta[:, None] * normals
         mesh_new = displace_nodes(state.mesh, displacement)
         quality = mesh_quality(mesh_new)
@@ -320,8 +314,8 @@ def _steps(
                 step_index=state.step_index + 1,
                 time=state.t + tau,
             )
-        mass_new = assemble_lumped_mass(mesh_new, pattern)
-        systems = _diffusion_systems(mesh_new, pattern, mass, mass_new, tau, params.d)
+        mass_new = assemble_lumped_mass(mesh_new)
+        systems = _diffusion_systems(mesh_new, mass, mass_new, tau, params.d)
         return mesh_new, mass_new, quality, systems
 
     # the step body is a function of its own, so that its temporaries (systems,
@@ -359,9 +353,10 @@ def step(state: SimState, params: KineticsParams, cfg: SolverConfig) -> SimState
     """Advance one time step; see the module docstring for the scheme.
 
     Convenience single-shot form: the first step of a new chain from
-    ``state``, so the pattern, the old mass, the ``min_triangle_area=None``
-    threshold and a frozen surface's systems come from ``state.mesh`` on
-    every call; :func:`run` builds them once for its whole chain.
+    ``state``, so the old mass, the ``min_triangle_area=None`` threshold and
+    a frozen surface's systems come from ``state.mesh`` on every call;
+    :func:`run` builds them once for its whole chain.  The pattern is not
+    rebuilt: ``state.mesh`` carries it and the returned mesh shares it.
 
     Raises
     ------
@@ -400,9 +395,10 @@ def run(
     """Advance the initial state by the time span ``cfg.T``, sampling diagnostics.
 
     The run takes ``cfg.n_steps`` steps of ``tau`` from ``initial.t``, not up
-    to an absolute time ``T``, as one chain of steps whose start-up (pattern,
-    mass, mesh quality, area threshold and, on a frozen surface with
-    ``kappa = 0``, the system matrices) is built once, before the first step.
+    to an absolute time ``T``, as one chain of steps whose start-up (mass,
+    mesh quality, area threshold and, on a frozen surface with ``kappa = 0``,
+    the system matrices) is built once, before the first step, on a handle of
+    ``initial.mesh`` with its own pattern, which every mesh of the run shares.
     Samples of the chain's ``(state, mass, quality)`` are recorded at step 0,
     every ``stride`` steps (an integer, at least 1), and at the final step;
     observers are called at each sample with the state and the current lumped
@@ -420,10 +416,13 @@ def run(
     if not (isinstance(stride, numbers.Integral) and stride >= 1):
         raise ValueError(f"sampling stride must be an integer at least 1, got {stride!r}")
     series = DiagnosticsSeries(evolving=params.kappa != 0.0)
-    # an own handle on the same arrays keeps the geometry cache off the caller's
-    # mesh, and only the states hold it, so it goes once the run moves on
+    # an own handle on the same arrays keeps the geometry cache and the pattern off
+    # the caller's mesh.  Its pattern is built here, by this module's name, only
+    # because bench/tracing.py rebinds that name to time the build; once the chain
+    # times itself, the handle can build it on first use like any other mesh.
+    mesh = initial.mesh
     chain = _steps(
-        replace(initial, mesh=SurfaceMesh._with_nodes(initial.mesh, initial.mesh.nodes)),
+        replace(initial, mesh=SurfaceMesh._with_nodes(mesh, mesh.nodes, StiffnessPattern(mesh))),
         params, cfg,
     )
     try:

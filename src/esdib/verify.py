@@ -45,9 +45,10 @@ def pure_diffusion_params(d: float = 20.0, kappa: float = 0.0) -> KineticsParams
 def stepwise_frozen_run(state, params, cfg, stride):
     """Reference for a kappa = 0 :func:`run`: a chain of single :func:`step` calls.
 
-    ``step`` still starts a new chain on each call, rebuilding the pattern,
-    mass, stiffness and both systems, so this compares operators built once
-    with operators rebuilt every step.  The diagnostics are recorded by hand
+    ``step`` still starts a new chain on each call, rebuilding the mass,
+    stiffness and both systems (the mesh carries its pattern, which is built
+    once), so this compares operators built once with operators rebuilt
+    every step.  The diagnostics are recorded by hand
     at the steps ``run`` samples.
     """
     series = DiagnosticsSeries(evolving=False)

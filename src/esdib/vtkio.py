@@ -119,10 +119,10 @@ def read_vtk(path):
     ------
     DataError
         The file is not what :func:`write_vtk` writes (an ASCII file, a
-        section out of place, a field of other than one component, anything
-        after the last field), or holds a count that is not a whole number,
-        a block cut short, a cell that is not a triangle, or a cell index
-        outside ``[0, n_points)``.
+        section out of place, a field of other than one component, a field
+        name used twice, anything after the last field), or holds a count
+        that is not a whole number, a block cut short, a cell that is not a
+        triangle, or a cell index outside ``[0, n_points)``.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -198,6 +198,8 @@ def read_vtk(path):
             _, name, _, components = expect("SCALARS", None, "double", None)
             if components != "1":
                 raise DataError(f"field {name!r} in {path} has other than one component")
+            if name in point_data:
+                raise DataError(f"field {name!r} appears twice in {path}")
             expect("LOOKUP_TABLE", "default")
             point_data[name] = block(n, _FLOAT, f"field {name!r}")
     if pos < len(data):

@@ -172,33 +172,46 @@ class TestGeometricInvariance:
 
 class TestPatternReuse:
     def test_pattern_matches_on_the_fly_assembly(self, bumpy_square):
-        pattern = StiffnessPattern(bumpy_square)
-        K_pat = assemble_stiffness(bumpy_square, pattern)
-        K_auto = assemble_stiffness(bumpy_square)
-        assert np.array_equal(K_pat.data, K_auto.data)
-        assert np.array_equal(K_pat.indices, K_auto.indices)
-        assert np.array_equal(K_pat.indptr, K_auto.indptr)
-        assert np.array_equal(assemble_lumped_mass(bumpy_square, pattern),
-                              assemble_lumped_mass(bumpy_square))
-        assert np.array_equal(compute_node_normals(bumpy_square, pattern),
-                              compute_node_normals(bumpy_square))
+        # a mesh moved by zero shares the source's pattern; a mesh built anew
+        # from the same arrays builds its own on first use
+        shared = displace_nodes(bumpy_square, np.zeros_like(bumpy_square.nodes))
+        own = SurfaceMesh(bumpy_square.nodes, bumpy_square.triangles)
+        assert shared.pattern is bumpy_square.pattern
+        assert own.pattern is not bumpy_square.pattern
+        K_shared, K_own = assemble_stiffness(shared), assemble_stiffness(own)
+        assert np.array_equal(K_shared.data, K_own.data)
+        assert np.array_equal(K_shared.indices, K_own.indices)
+        assert np.array_equal(K_shared.indptr, K_own.indptr)
+        assert np.array_equal(assemble_lumped_mass(shared), assemble_lumped_mass(own))
+        assert np.array_equal(compute_node_normals(shared), compute_node_normals(own))
 
     def test_reassembly_after_motion_keeps_structure(self, bumpy_square):
-        pattern = StiffnessPattern(bumpy_square)
+        pattern = bumpy_square.pattern
         rng = np.random.default_rng(3)
         moved = displace_nodes(
             bumpy_square, 0.01 * rng.standard_normal(bumpy_square.nodes.shape)
         )
-        K = assemble_stiffness(moved, pattern)
+        K = assemble_stiffness(moved)
+        assert moved.pattern is pattern
         assert K.shape == (bumpy_square.n_nodes, bumpy_square.n_nodes)
         assert K.nnz == pattern.nnz
+        assert np.array_equal(K.indices, pattern.indices)
+        assert np.array_equal(K.indptr, pattern.indptr)
         diff = (K - K.T).tocsr()
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 
     def test_diagonal_slots_address_the_diagonal(self, bumpy_square):
-        pattern = StiffnessPattern(bumpy_square)
-        K = assemble_stiffness(bumpy_square, pattern)
-        assert np.array_equal(K.data[pattern.diagonal_slots], K.diagonal())
+        K = assemble_stiffness(bumpy_square)
+        assert np.array_equal(K.data[bumpy_square.pattern.diagonal_slots], K.diagonal())
+
+    def test_pattern_is_built_on_first_use_and_shared_by_moved_meshes(self, bumpy_square):
+        mesh = SurfaceMesh(bumpy_square.nodes, bumpy_square.triangles)
+        assert mesh._pattern is None
+        d = np.full(mesh.nodes.shape, 0.01)
+        # the moved mesh takes the pattern from its source, which builds it
+        assert displace_nodes(mesh, d).pattern is mesh.pattern
+        assert displace_nodes(displace_nodes(mesh, d), d).pattern is mesh.pattern
+        assert isinstance(mesh.pattern, StiffnessPattern)
 
     def test_mass_rejects_isolated_node(self):
         # a node without triangles would get zero mass and a singular system;
@@ -333,21 +346,20 @@ def direct_stiffness(mesh, pattern):
 class TestCachedGeometry:
     def test_matches_direct_assembly_bitwise(self, geometry_mesh):
         mesh = geometry_mesh
-        pattern = StiffnessPattern(mesh)
         # the mass computes the pass, the stiffness reads it from the cache
         assert np.array_equal(assemble_lumped_mass(mesh), direct_lumped_mass(mesh))
-        K = assemble_stiffness(mesh, pattern)
-        assert np.array_equal(K.indptr, pattern.indptr)
-        assert np.array_equal(K.data, direct_stiffness(mesh, pattern))
+        K = assemble_stiffness(mesh)
+        assert np.array_equal(K.indptr, mesh.pattern.indptr)
+        assert np.array_equal(K.data, direct_stiffness(mesh, mesh.pattern))
 
     def test_moving_step_stiffness_matches_direct_assembly(self, monkeypatch, bumpy_square):
         # the stiffness that one moving step assembles on its moved mesh,
         # copied before the step adds the mass to its diagonal in place
         assembled = []
 
-        def capturing(mesh, pattern=None, original=stepper.assemble_stiffness):
-            K = original(mesh, pattern)
-            assembled.append((mesh, pattern, K.data.copy()))
+        def capturing(mesh, original=stepper.assemble_stiffness):
+            K = original(mesh)
+            assembled.append((mesh, K.data.copy()))
             return K
 
         monkeypatch.setattr(stepper, "assemble_stiffness", capturing)
@@ -355,6 +367,7 @@ class TestCachedGeometry:
         fields = initial_condition(bumpy_square, params, amplitude=0.5, seed=2)
         state = SimState(t=0.0, mesh=bumpy_square, eta=fields.eta, theta=fields.theta)
         after = step(state, params, SolverConfig(tau=1e-2, T=1e-2))
-        [(mesh, pattern, data)] = assembled
+        [(mesh, data)] = assembled
         assert mesh is after.mesh and mesh is not bumpy_square
-        assert np.array_equal(data, direct_stiffness(mesh, pattern))
+        assert mesh.pattern is bumpy_square.pattern
+        assert np.array_equal(data, direct_stiffness(mesh, mesh.pattern))

@@ -250,6 +250,10 @@ class TestAreaGrowthFit:
         ):
             with pytest.raises(DataError, match="finite"):
                 area_growth_fit(times, areas)
+        # one time for every sample leaves no slope: polyfit would return one
+        for t in (2.0, 1.0):
+            with pytest.raises(DataError, match="times must vary"):
+                area_growth_fit(np.full(10, t), np.exp(0.1 * np.arange(10.0)))
 
 
 @pytest.mark.slow

@@ -15,6 +15,7 @@ from esdib import (
     SimState,
     SolverConfig,
     SolverConvergenceError,
+    StiffnessPattern,
     assemble_lumped_mass,
     assemble_stiffness,
     build_domain,
@@ -49,6 +50,19 @@ def count_calls(monkeypatch, name):
 
     monkeypatch.setattr(stepper, name, counted)
     return calls
+
+
+def count_pattern_builds(monkeypatch):
+    """Record every :class:`StiffnessPattern` built, by whatever name it is called."""
+    original = StiffnessPattern.__init__
+    built = []
+
+    def counted(self, mesh):
+        built.append(self)
+        original(self, mesh)
+
+    monkeypatch.setattr(StiffnessPattern, "__init__", counted)
+    return built
 
 
 def make_state(mesh, eta, theta, t=0.0):
@@ -294,6 +308,22 @@ class TestSingleStep:
         assert new.t == 0.25
         assert new.step_index == 1
         assert new.mesh is state.mesh  # frozen surface reuses the mesh object
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.2])
+    def test_chain_of_steps_builds_one_pattern(self, monkeypatch, kappa):
+        # the mesh carries its pattern and every moved mesh shares it, so a
+        # chain of single steps builds it once, not once per step
+        mesh = generate_square(2.0, 8)
+        params = default_params(B=30.0, C=3.0, rho=2.0, kappa=kappa)
+        fields = initial_condition(mesh, params, seed=1)
+        state = make_state(mesh, fields.eta, fields.theta)
+        built = count_pattern_builds(monkeypatch)
+        for _ in range(5):
+            state = step(state, params, SolverConfig(tau=1e-2, T=1.0))
+        assert state.step_index == 5
+        assert (state.mesh is mesh) == (kappa == 0.0)
+        assert len(built) == 1
+        assert state.mesh.pattern is mesh.pattern is built[0]
 
     def test_field_shape_mismatch_rejected(self):
         mesh = generate_square(1.0, 4)
@@ -607,20 +637,14 @@ class TestRun:
         assert len(quality) == cfg.n_steps + 1
 
     def test_moving_run_builds_one_pattern_and_passes_it_everywhere(self, monkeypatch):
-        # a call left to build its own pattern would cost a rebuild per step,
-        # which no output shows
-        built, received = [], []
-        build = stepper.StiffnessPattern
-
-        def building(*args):
-            built.append(build(*args))
-            return built[-1]
-
-        monkeypatch.setattr(stepper, "StiffnessPattern", building)
+        # a mesh of the run without the handle's pattern would build its own,
+        # a rebuild per step that no output shows
+        built = count_pattern_builds(monkeypatch)
+        received = []
         for name in ("compute_node_normals", "assemble_lumped_mass", "assemble_stiffness"):
-            def receiving(mesh, pattern=None, name=name, original=getattr(stepper, name)):
-                received.append((name, pattern))
-                return original(mesh, pattern)
+            def receiving(mesh, name=name, original=getattr(stepper, name)):
+                received.append((name, mesh._pattern))
+                return original(mesh)
 
             monkeypatch.setattr(stepper, name, receiving)
         moving = default_params(B=30.0, C=3.0, rho=2.0, kappa=0.2)
@@ -633,6 +657,24 @@ class TestRun:
         assert names.count("assemble_lumped_mass") == cfg.n_steps + 1
         assert names.count("assemble_stiffness") == cfg.n_steps
         assert all(pattern is built[0] for _, pattern in received)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.2])
+    def test_run_builds_its_pattern_by_the_stepper_name_and_returns_it(self, monkeypatch, kappa):
+        # the build goes through ``stepper.StiffnessPattern``, the name the
+        # benchmark's tracer times; the caller's mesh is left without a pattern
+        built = []
+
+        def building(mesh, build=stepper.StiffnessPattern):
+            built.append(build(mesh))
+            return built[-1]
+
+        monkeypatch.setattr(stepper, "StiffnessPattern", building)
+        params = default_params(B=30.0, C=3.0, rho=2.0, kappa=kappa)
+        final, _ = run(self.state, params, SolverConfig(tau=1e-2, T=0.05))
+        assert final.step_index == 5
+        assert len(built) == 1
+        assert final.mesh.pattern is built[0]
+        assert self.state.mesh._pattern is None
 
     @pytest.mark.parametrize("stride", [1, 7])
     def test_moving_run_computes_one_geometry_pass_per_step(self, monkeypatch, stride):
@@ -696,9 +738,8 @@ class TestRun:
 
     @staticmethod
     def frozen_systems(mesh):
-        pattern = stepper.StiffnessPattern(mesh)
-        mass = assemble_lumped_mass(mesh, pattern)
-        return stepper._diffusion_systems(mesh, pattern, mass, mass, 1e-2, 40.0)
+        mass = assemble_lumped_mass(mesh)
+        return stepper._diffusion_systems(mesh, mass, mass, 1e-2, 40.0)
 
     def test_pruning_returns_systems_without_zeros_as_they_are(self):
         systems = self.frozen_systems(generate_icosphere(1.0, 2))

@@ -461,6 +461,16 @@ class TestReadErrors:
         with pytest.raises(DataError, match="'v' .* has other than one component"):
             read_vtk(self.write(tmp_path, self.ONE_TRIANGLE + vector))
 
+    def test_field_named_twice_rejected(self, tmp_path):
+        # write_vtk takes a dict and cannot write this; a reader that kept the
+        # last block would drop the first without a word
+        path = tmp_path / "mesh.vtk"
+        fields = {"eta": np.zeros(9), "theta": np.ones(9)}
+        write_vtk(path, generate_square(1.0, 2), point_data=fields)
+        data = path.read_bytes().replace(b"SCALARS theta", b"SCALARS eta")
+        with pytest.raises(DataError, match="field 'eta' appears twice"):
+            read_vtk(self.write(tmp_path, data))
+
     def test_trailing_section_rejected(self, tmp_path):
         data = (
             self.ONE_TRIANGLE + self.FIELD
