@@ -113,9 +113,11 @@ class SurfaceMesh:
             raise MeshStructureError(f"triangle {bad} references a node outside [0, {n})")
         triangles = np.array(triangles, dtype=np.int64, order="C")
 
-        # twice the areas as the geometry pass computes them, without the whole pass
-        _, e1, e2 = _edges(nodes, triangles)
-        _reject_zero_area(_row_norms(_cross(e1, e2)))
+        # the squares of twice the areas as the geometry pass computes them, from
+        # its e1 = p0 - p2 and e2 = p1 - p0 only, gathered from one transposed copy
+        corners = np.take(nodes.T.copy(), triangles.T, axis=1)  # [coordinate, corner, m]
+        cross = _cross(corners[:, 0] - corners[:, 2], corners[:, 1] - corners[:, 0])
+        _reject_zero_area(_dot(cross, cross))
 
         self.nodes = nodes
         self.triangles = triangles
@@ -164,6 +166,10 @@ class SurfaceMesh:
         )
 
 
+#: The most nodes whose edge keys int32 holds: keys below ``2 n^2 <= 2**31``.
+_INT32_KEY_NODES = 2**15
+
+
 def _boundary_flags(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     """Validate node and edge usage and return the boundary-node mask.
 
@@ -174,14 +180,23 @@ def _boundary_flags(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     One sort serves both edge checks: an edge's key is its undirected code
     ``lo * n + hi`` times two, plus one when it runs from ``hi`` to ``lo``.
     Runs of equal ``key >> 1`` are the uses of one undirected edge, and two
-    equal neighbouring keys are a directed edge used twice.  ``triangles``
-    is the constructor's int64 array, so the keys cannot overflow.
+    equal neighbouring keys are a directed edge used twice.  With
+    ``lo <= hi < n`` every key, and every partial sum on the way to it, is
+    below ``2 n^2``.  So the keys are built and sorted as int32 up to
+    ``_INT32_KEY_NODES`` nodes, and as int64 above: the same keys either way.
+    The keys are made corner by corner, not triangle by triangle; the sort
+    leaves the same array whatever order they come in.
     """
-    u = triangles.ravel()
-    uses = np.bincount(u, minlength=n_nodes)
+    uses = np.bincount(triangles.ravel(), minlength=n_nodes)
     if not uses.all():
         raise MeshStructureError(f"node {int(np.argmin(uses))} belongs to no triangle")
-    v = np.roll(triangles, -1, axis=1).ravel()
+    # corners 0, 1, 2 and 0 again as rows: row k + 1 holds the other end of the
+    # edges that leave row k, so both ends of every edge are contiguous views
+    dtype = np.int32 if n_nodes <= _INT32_KEY_NODES else np.int64
+    ends = np.empty((4, triangles.shape[0]), dtype=dtype)
+    ends[:3] = triangles.T
+    ends[3] = ends[0]
+    u, v = ends[:3].ravel(), ends[1:].ravel()
     keys = (np.minimum(u, v) * n_nodes + np.maximum(u, v)) * 2 + (u > v)
     keys.sort()
     undirected = keys >> 1
@@ -286,7 +301,12 @@ def _geometry_pass(nodes: np.ndarray, triangles: np.ndarray) -> _TriangleGeometr
 
 
 def _reject_zero_area(areas: np.ndarray) -> None:
-    """Name the first triangle whose area (or a multiple of it) is not positive."""
+    """Name the first triangle whose area is not positive.
+
+    ``areas`` may also be a positive multiple of the areas, or of their
+    squares: for ``x >= 0``, ``sqrt(x) <= 0`` exactly when ``x <= 0``, so the
+    same triangle is named either way.
+    """
     if areas.size and areas.min() <= 0.0:
         bad = int(np.argmin(areas))
         raise DegenerateGeometryError(f"triangle {bad} has zero area")

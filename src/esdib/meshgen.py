@@ -126,29 +126,30 @@ def generate_square(L: float, n: int) -> SurfaceMesh:
     point along +z.  The 4 n perimeter nodes form the boundary.  An edge that
     is not positive and finite, or an ``n`` that is not an integer >= 1,
     raises :class:`ConfigError`.
+
+    Node ``j (n+1) + i`` sits at ``(i, j)`` on the grid of ticks
+    ``linspace(0, L, n+1)``.  Triangle ``j n + i`` is cell ``(i, j)``'s lower
+    triangle ``(v00, v10, v11)``, and triangle ``n^2 + j n + i`` its upper
+    triangle ``(v00, v11, v01)``.  Both arrays are written in place, one
+    column or one corner at a time.
     """
     if not (L > 0.0 and math.isfinite(L)):
         raise ConfigError(f"square edge must be positive and finite, got {L}")
     if not (isinstance(n, numbers.Integral) and n >= 1):
         raise ConfigError(f"grid divisions must be an integer at least 1, got {n!r}")
     ticks = np.linspace(0.0, L, n + 1)
-    nodes = np.column_stack(
-        [
-            np.tile(ticks, n + 1),
-            np.repeat(ticks, n + 1),
-            np.zeros((n + 1) * (n + 1)),
-        ]
-    )
-    i = np.tile(np.arange(n), n)
-    j = np.repeat(np.arange(n), n)
-    v00 = j * (n + 1) + i
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
-    lower = np.stack([v00, v10, v11], axis=1)
-    upper = np.stack([v00, v11, v01], axis=1)
-    triangles = np.concatenate([lower, upper], axis=0)
-    return SurfaceMesh(nodes, triangles)
+    nodes = np.zeros(((n + 1) * (n + 1), 3))
+    grid = nodes.reshape(n + 1, n + 1, 3)  # [j, i, coordinate], a view
+    grid[:, :, 0] = ticks
+    grid[:, :, 1] = ticks[:, None]
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()  # cell j n + i
+    triangles = np.empty((2, n * n, 3), dtype=np.int64)  # [lower or upper, cell, corner]
+    triangles[:, :, 0] = v00
+    triangles[0, :, 1] = v00 + 1
+    triangles[0, :, 2] = v00 + (n + 2)
+    triangles[1, :, 1] = triangles[0, :, 2]
+    triangles[1, :, 2] = v00 + (n + 1)
+    return SurfaceMesh(nodes, triangles.reshape(2 * n * n, 3))
 
 
 def generate_icosphere(R: float, level: int) -> SurfaceMesh:

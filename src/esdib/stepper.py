@@ -157,8 +157,10 @@ def solve_spd(
         Tolerance not reached within ``maxiter`` iterations; carries the
         final relative residual.
     NumericsError
-        Non-finite right-hand side, or a matrix diagonal entry that is not
-        positive (NaN included).
+        Non-finite right-hand side, a matrix diagonal entry that is not
+        positive (NaN included), or a residual norm that is not finite after
+        an iteration (a NaN or infinite matrix entry, say), raised at that
+        iteration.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     bnorm = float(np.linalg.norm(rhs))
@@ -197,8 +199,13 @@ def solve_spd(
         r -= np.multiply(Ap, alpha, out=scaled)
         if callback is not None:
             callback(x)
-        if math.sqrt(np.dot(r, r)) <= tol * bnorm:
+        rnorm = math.sqrt(np.dot(r, r))
+        if rnorm <= tol * bnorm:
             return x
+        if not math.isfinite(rnorm):  # NaN or overflow: no later iterate recovers
+            raise NumericsError(
+                f"conjugate gradients broke down: residual norm {rnorm} at iteration {iteration}"
+            )
         np.divide(r, diag, out=z)
         rz_next = float(np.dot(r, z))
         p *= rz_next / rz

@@ -108,6 +108,16 @@ class TestConstruction:
         with pytest.raises(DegenerateGeometryError, match="triangle 0"):
             SurfaceMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
 
+    @pytest.mark.parametrize("row,first", [(2, 4), (4, 12)])
+    def test_first_zero_area_triangle_is_named(self, row, first):
+        # moving grid row ``row`` onto the row below flattens the lower and the
+        # upper triangles of every cell between them: 4 (row - 1) + i and 16 + ...
+        mesh = generate_square(1.0, 4)
+        nodes = np.array(mesh.nodes)
+        nodes[5 * row : 5 * row + 5, 1] = nodes[5 * (row - 1), 1]
+        with pytest.raises(DegenerateGeometryError, match=f"^triangle {first} has zero area$"):
+            SurfaceMesh(nodes, mesh.triangles)
+
     def test_repeated_vertex_rejected(self):
         with pytest.raises(DegenerateGeometryError):
             SurfaceMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 1]])
@@ -144,26 +154,91 @@ class TestConstruction:
         flags[rim % n] = True
         return flags
 
-    @pytest.mark.parametrize("kind", ["sheet", "sphere", "relabelled"])
+    @staticmethod
+    def relabelled(nodes, tri, seed=11):
+        # relabel the nodes, shuffle the triangles and rotate each one's vertices
+        rng = np.random.default_rng(seed)
+        label = rng.permutation(len(nodes))
+        moved = np.empty_like(nodes)
+        moved[label] = nodes
+        tri = label[tri][rng.permutation(len(tri))]
+        shift = rng.integers(0, 3, len(tri))
+        return moved, tri[np.arange(len(tri))[:, None], (np.arange(3) + shift[:, None]) % 3]
+
+    @pytest.mark.parametrize(
+        "kind", ["sheet", "sphere", "relabelled", "large sheet", "large relabelled"]
+    )
     def test_boundary_flags_match_two_sort_construction(self, kind):
         if kind == "sphere":
             mesh = generate_icosphere(1.0, 3)
+        elif kind.startswith("large"):
+            # 183^2 = 33 489 nodes, above the most whose edge keys int32 holds
+            mesh = generate_square(1.0, 182)
+            assert mesh.n_nodes > mesh_module._INT32_KEY_NODES
         else:
             mesh = generate_square(2.0, 12)
-        nodes, tri = mesh.nodes, mesh.triangles
-        if kind == "relabelled":
-            # relabel the nodes, shuffle the triangles and rotate each one's vertices
-            rng = np.random.default_rng(11)
-            label = rng.permutation(mesh.n_nodes)
-            nodes = np.empty_like(nodes)
-            nodes[label] = mesh.nodes
-            tri = label[tri][rng.permutation(mesh.n_triangles)]
-            shift = rng.integers(0, 3, len(tri))
-            tri = tri[np.arange(len(tri))[:, None], (np.arange(3) + shift[:, None]) % 3]
-            mesh = SurfaceMesh(nodes, tri)
+        if kind.endswith("relabelled"):
+            mesh = SurfaceMesh(*self.relabelled(mesh.nodes, mesh.triangles))
         expected = self.two_sort_flags(mesh.triangles, mesh.n_nodes)
         assert np.array_equal(mesh.boundary_node, expected)
         assert expected.any() == (kind != "sphere")
+
+    def test_int32_key_bound_is_exact(self):
+        # the largest key, of an edge run from node n - 1 to node n - 2, is
+        # 2 n^2 - 2 n - 1: it fits int32 at the bound, and not one node above
+        def largest(n):
+            return ((n - 2) * n + (n - 1)) * 2 + 1
+
+        bound = mesh_module._INT32_KEY_NODES
+        assert largest(bound) <= np.iinfo(np.int32).max < largest(bound + 1)
+
+    @staticmethod
+    def torus_and_triangle(a, b):
+        # a closed a x b torus grid, then one triangle apart on the last three
+        # nodes: its edges are the only rim, and one has the largest key there is
+        i, j = np.divmod(np.arange(a * b), b)
+        u, v = 2 * np.pi * i / a, 2 * np.pi * j / b
+        ring = 3 + np.cos(v)
+        torus = np.column_stack([ring * np.cos(u), ring * np.sin(u), np.sin(v)])
+        nodes = np.vstack([torus, [[9.0, 0, 0], [10.0, 0, 0], [9.0, 1, 0]]])
+        v00 = np.arange(a * b)
+        v10 = (i + 1) % a * b + j
+        v01 = i * b + (j + 1) % b
+        v11 = (i + 1) % a * b + (j + 1) % b
+        tri = np.concatenate([np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])])
+        return nodes, np.vstack([tri, a * b + np.arange(3)])
+
+    @pytest.mark.parametrize(
+        "a,b,above", [(5, 6553, 0), (127, 258, 1)], ids=["at the bound", "one above"]
+    )
+    def test_boundary_flags_at_the_int32_key_bound(self, a, b, above):
+        nodes, tri = self.torus_and_triangle(a, b)
+        assert len(nodes) == 2**15 + above  # the bound, as the test above checks it
+        mesh = SurfaceMesh(nodes, tri)
+        assert np.array_equal(np.flatnonzero(mesh.boundary_node), len(nodes) - 3 + np.arange(3))
+        assert np.array_equal(mesh.boundary_node, self.two_sort_flags(tri, len(nodes)))
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["plain", "relabelled"])
+    def test_edge_errors_above_the_int32_key_bound(self, relabel):
+        sheet = generate_square(1.0, 182)
+        nodes, tri = np.array(sheet.nodes), np.array(sheet.triangles)
+        # the last triangle holds the last node; turned over, it runs its
+        # diagonal the way the lower triangle of its cell does
+        flipped = tri.copy()
+        flipped[-1] = flipped[-1, ::-1]
+        # a third triangle on that diagonal, through a new node above the sheet
+        a, b = tri[-1, :2]
+        book = np.vstack([tri, [b, a, len(nodes)]])
+        above = np.vstack([nodes, [0.5, 0.5, 1.0]])
+        cases = [
+            (nodes, flipped, "inconsistent winding: a directed edge is traversed more than once"),
+            (above, book, "non-manifold edge shared by more than two triangles"),
+        ]
+        for points, triangles, message in cases:
+            if relabel:
+                points, triangles = self.relabelled(points, triangles)
+            with pytest.raises(MeshStructureError, match=f"^{message}$"):
+                SurfaceMesh(points, triangles)
 
     def test_closed_surface_has_no_boundary(self):
         assert generate_icosphere(1.0, 1).is_closed()

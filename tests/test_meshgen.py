@@ -90,6 +90,32 @@ class TestSquare:
                 generate_square(1.0, n)
         assert generate_square(1.0, np.int64(2)).n_nodes == 9
 
+    @staticmethod
+    def former_square_arrays(L, n):
+        # the former construction, by column_stack, stack and concatenate
+        ticks = np.linspace(0.0, L, n + 1)
+        nodes = np.column_stack(
+            [np.tile(ticks, n + 1), np.repeat(ticks, n + 1), np.zeros((n + 1) * (n + 1))]
+        )
+        i = np.tile(np.arange(n), n)
+        j = np.repeat(np.arange(n), n)
+        v00 = j * (n + 1) + i
+        v10 = v00 + 1
+        v01 = v00 + (n + 1)
+        v11 = v01 + 1
+        lower = np.stack([v00, v10, v11], axis=1)
+        upper = np.stack([v00, v11, v01], axis=1)
+        return nodes, np.concatenate([lower, upper], axis=0)
+
+    @pytest.mark.parametrize("n", [1, 7, 100])
+    def test_arrays_match_former_construction_bitwise(self, n):
+        L = 20.0 / 3.0  # ticks that are not exact binary fractions
+        nodes, triangles = self.former_square_arrays(L, n)
+        mesh = generate_square(L, n)
+        for got, want in ((mesh.nodes, nodes), (mesh.triangles, triangles)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestIcosphere:
     @pytest.mark.parametrize("level", [0, 1, 2, 3])

@@ -230,6 +230,16 @@ class TestSolveSpd:
                 )
             assert iterates == []  # rejected before the first iteration
 
+    def test_nan_residual_stops_at_once(self):
+        # a positive diagonal passes the up-front check; the NaN off-diagonals
+        # make the first residual NaN, which no later iterate can bring back
+        A = sp.csr_matrix(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+        iterates = []
+        with pytest.raises(NumericsError, match="residual norm nan") as exc:
+            solve_spd(A, np.ones(2), callback=iterates.append)
+        assert not isinstance(exc.value, SolverConvergenceError)
+        assert 1 <= len(iterates) <= 2
+
     def test_non_finite_rhs_rejected(self):
         A = sp.identity(3, format="csr")
         with pytest.raises(NumericsError):
