@@ -12,25 +12,14 @@ Runtime: around a minute (the finer level uses a 10242-node sphere).
 
 import numpy as np
 
-from esdib import (
-    SimState,
-    SolverConfig,
-    assemble_lumped_mass,
-    default_params,
-    mass_integral,
-    run,
-)
-from esdib.kinetics import KineticsParams
+from esdib import SimState, SolverConfig, assemble_lumped_mass, mass_integral, run
 from esdib.meshgen import generate_icosphere
+from esdib.verify import pure_diffusion_params
 
 KAPPA = 0.2
 
-# all reaction coefficients zero: pure growth plus diffusion
-params = KineticsParams(
-    A1=0.0, A2=0.0, B=0.0, C=0.0, D=0.0, alpha=0.5, gamma=0.2,
-    k2=0.0, k3=0.0, d=20.0, rho=1.0, kappa=KAPPA,
-)
-assert default_params(B=30.0, C=3.0).kappa == KAPPA  # same default growth speed
+# all reaction terms zero (f = g = 0): pure growth plus diffusion
+params = pure_diffusion_params(kappa=KAPPA)
 
 exact_radius = 1.0 + KAPPA
 exact_theta = 1.0 / exact_radius**2

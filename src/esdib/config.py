@@ -49,11 +49,6 @@ from .kinetics import KineticsParams, default_params, initial_condition
 from .meshgen import DomainSpec
 from .stepper import SolverConfig
 
-_BOOL_WORDS = {
-    "1": True, "yes": True, "true": True, "on": True,
-    "0": False, "no": False, "false": False, "off": False,
-}
-
 
 def _converter(convert, what: str):
     """Parser of a key's text to a typed value by ``convert``; checks no bound."""
@@ -69,7 +64,9 @@ def _converter(convert, what: str):
 
 _number = _converter(float, "a number")
 _integer = _converter(int, "an integer")
-_boolean = _converter(lambda text: _BOOL_WORDS[text.strip().lower()], "a boolean")
+_boolean = _converter(
+    lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()], "a boolean"
+)
 _text = _converter(str, "text")
 _auto_or_number = _converter(
     lambda text: None if text.strip().lower() == "auto" else float(text), "a number or auto"

@@ -12,8 +12,8 @@ All geometric queries (areas, vertex normals, quality metrics, and the lumped
 mass and stiffness) read one per-triangle geometry pass: edge vectors, the
 edge cross product and edge dot products, vectorised over triangles with
 numpy and summed left to right (:func:`_dot`) on every CPU.  The pass works
-component-major: each edge is three contiguous (m,) arrays gathered from one
-coordinate column, and the cross product is written out in components.  It
+component-major: each edge is a (3, m) array of contiguous component rows from
+one corner gather, and the cross product is written out in components.  It
 is computed once per mesh, on first use, and cached on it; node arrays are
 read-only and node motion makes a new mesh, so the cache never goes stale.
 Only this module knows the pass's layout.
@@ -114,8 +114,8 @@ class SurfaceMesh:
         triangles = np.array(triangles, dtype=np.int64, order="C")
 
         # the squares of twice the areas as the geometry pass computes them, from
-        # its e1 = p0 - p2 and e2 = p1 - p0 only, gathered from one transposed copy
-        corners = np.take(nodes.T.copy(), triangles.T, axis=1)  # [coordinate, corner, m]
+        # its e1 = p0 - p2 and e2 = p1 - p0 only
+        corners = _corners(nodes, triangles)
         cross = _cross(corners[:, 0] - corners[:, 2], corners[:, 1] - corners[:, 0])
         _reject_zero_area(_dot(cross, cross))
 
@@ -252,21 +252,15 @@ def _row_norms(v) -> np.ndarray:
     return np.sqrt(_dot(v, v))
 
 
-def _edges(nodes: np.ndarray, triangles: np.ndarray) -> tuple[list, list, list]:
-    """Edge vectors ``e0, e1, e2`` of every triangle, ``e_i`` opposite vertex ``i``.
+def _corners(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Corners ``[coordinate, corner, triangle]``, contiguous rows, from one gather."""
+    return np.take(nodes.T.copy(), triangles.T, axis=1)
 
-    Each edge is a list of its three components, contiguous (m,) arrays
-    gathered from one contiguous coordinate column each.
-    """
-    corners = triangles.T.copy()
-    e0, e1, e2 = [], [], []
-    for c in range(3):
-        x = np.ascontiguousarray(nodes[:, c])
-        x0, x1, x2 = (np.take(x, corner) for corner in corners)
-        e0.append(x2 - x1)
-        e1.append(x0 - x2)
-        e2.append(x1 - x0)
-    return e0, e1, e2
+
+def _edges(nodes: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Edge vectors ``e0, e1, e2``, ``e_i`` opposite vertex ``i``, each of shape (3, m)."""
+    p = _corners(nodes, triangles)
+    return p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]
 
 
 def _cross(e1, e2) -> tuple[np.ndarray, ...]:
@@ -373,7 +367,9 @@ class StiffnessPattern:
     notes).  ``scatter``'s column indices are therefore not sorted within a
     row, and nothing may sort or canonicalise it (``sort_indices``,
     ``sum_duplicates``, a format round trip): that would add the terms in
-    dot-major order and change the stiffness bits.
+    dot-major order and change the stiffness bits.  So every array here,
+    ``incidence``'s and ``scatter``'s too, is read-only: such a call, or
+    ``eliminate_zeros``, raises ``ValueError`` on them or on a matrix sharing them.
     """
 
     __slots__ = (
@@ -418,14 +414,20 @@ class StiffnessPattern:
         self.indptr = np.searchsorted(unique_codes, rows).astype(np.int32)
         self.diagonal_slots = np.searchsorted(unique_codes, rows[:-1] + np.arange(n_nodes))
         self.scatter = csr_matrix((np.ones(9 * m), cols, scatter_ptr), shape=(self.nnz, 6 * m))
+        for arr in (self.indices, self.indptr, self.diagonal_slots):
+            arr.setflags(write=False)
+        for matrix in (self.incidence, self.scatter):
+            for arr in (matrix.data, matrix.indices, matrix.indptr):
+                arr.setflags(write=False)
 
 
 def assemble_stiffness(mesh: SurfaceMesh) -> csr_matrix:
     """Stiffness matrix of the surface Laplacian in CSR form.
 
     Each row sums to zero up to rounding (the operator annihilates
-    constants) and the matrix is symmetric positive semi-definite, stored in
-    the structure of ``mesh.pattern``.
+    constants) and the matrix is symmetric positive semi-definite.  Its data
+    are its own; it shares the read-only ``indices`` and ``indptr`` of
+    ``mesh.pattern``, so an in-place structural call on it raises ``ValueError``.
 
     Raises
     ------

@@ -28,10 +28,11 @@ unchanged and the same update reduces to the classic fixed-surface scheme.
 Mesh, mass, quality, stiffness and both system matrices are then constant,
 so the chain of steps that :func:`run` samples builds them once, at its
 start, and every step takes that constant geometry in place of step 1; only
-the right-hand sides change from step to step.  The chain stores those two
-systems without their exact zeros, the entries that are 0.0 in both, such as
-the weights of the diagonals that split :func:`~esdib.meshgen.generate_square`'s
-cells: each product in a solve then reads fewer entries and adds the same bits.
+the right-hand sides change from step to step.  The chain drops those two
+systems' exact zeros with scipy's ``eliminate_zeros``, on copies of the
+structure they share with the mesh's pattern.  Such zeros are the weights of
+the diagonals that split :func:`~esdib.meshgen.generate_square`'s cells: each
+product in a solve then reads fewer entries and adds the same bits.
 """
 
 from __future__ import annotations
@@ -244,25 +245,19 @@ def _diffusion_systems(
 
 
 def _without_zeros(systems: tuple[_System, _System]) -> tuple[_System, _System]:
-    """The two systems without the entries that are exactly 0.0 in both.
+    """The two systems with their exactly 0.0 entries dropped, in place.
 
-    The pruned matrices share one ``indices`` and ``indptr``, store every
-    remaining entry in its old order and keep their diagonals.  A stored zero
-    adds a signed zero to its row's sum in a product with a finite vector, so
-    the products keep their bits and only stop reading it.  Systems with no
-    such entry come back as they are.
+    ``eliminate_zeros`` compacts ``indices`` and ``indptr`` in place, and a
+    system shares those with ``mesh.pattern``, read-only, so each system
+    first takes copies of them; its data are its own.  Each row keeps its
+    other entries in their order, and the diagonals are kept.  A row's sum in
+    a product starts at +0.0, so it is never -0.0, and adding a zero of either
+    sign to it changes no bit: the products only stop reading the zeros.
     """
-    (A_eta, _), (A_theta, _) = systems
-    keep = (A_eta.data != 0.0) | (A_theta.data != 0.0)
-    if keep.all():
-        return systems
-    # each row's first slot, counted in the kept entries
-    indptr = np.concatenate(([0], np.cumsum(keep)))[A_eta.indptr].astype(A_eta.indptr.dtype)
-    indices = A_eta.indices[keep]
-    return tuple(
-        (csr_matrix((A.data[keep], indices, indptr), shape=A.shape), diag)
-        for A, diag in systems
-    )
+    for A, _ in systems:
+        A.indices, A.indptr = A.indices.copy(), A.indptr.copy()
+        A.eliminate_zeros()
+    return systems
 
 
 def _predict(levels: Sequence[np.ndarray]) -> np.ndarray | None:

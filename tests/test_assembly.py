@@ -213,6 +213,31 @@ class TestPatternReuse:
         assert displace_nodes(displace_nodes(mesh, d), d).pattern is mesh.pattern
         assert isinstance(mesh.pattern, StiffnessPattern)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda mesh: assemble_stiffness(mesh).eliminate_zeros(),
+        lambda mesh: mesh.pattern.scatter.sort_indices(),
+        lambda mesh: mesh.pattern.incidence.eliminate_zeros(),
+    ], ids=["stiffness eliminate_zeros", "scatter sort_indices", "incidence eliminate_zeros"])
+    def test_shared_structure_is_read_only(self, corrupt):
+        # every stiffness shares the pattern's indices and indptr; an in-place
+        # structural call on one of them would rewrite the pattern of every
+        # mesh moved from this one
+        mesh = generate_square(2.0, 4)
+        moved = displace_nodes(mesh, np.full(mesh.nodes.shape, 0.01))
+        pattern = mesh.pattern
+        arrays = [pattern.indices, pattern.indptr, pattern.diagonal_slots]
+        for matrix in (pattern.incidence, pattern.scatter):
+            arrays += [matrix.data, matrix.indices, matrix.indptr]
+        assert not any(arr.flags.writeable for arr in arrays)
+        before = [arr.copy() for arr in arrays]
+        K = assemble_stiffness(moved)
+        with pytest.raises(ValueError):
+            corrupt(mesh)
+        assert all(np.array_equal(arr, old) for arr, old in zip(arrays, before))
+        K_again = assemble_stiffness(displace_nodes(mesh, np.full(mesh.nodes.shape, 0.01)))
+        for name in ("data", "indices", "indptr"):
+            assert getattr(K_again, name).tobytes() == getattr(K, name).tobytes()
+
     def test_mass_rejects_isolated_node(self):
         # a node without triangles would get zero mass and a singular system;
         # the mesh that holds one is refused before any mass is assembled

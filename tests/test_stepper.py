@@ -751,21 +751,39 @@ class TestRun:
         mass = assemble_lumped_mass(mesh)
         return stepper._diffusion_systems(mesh, mass, mass, 1e-2, 40.0)
 
+    @staticmethod
+    def pattern_bytes(mesh):
+        pattern = mesh.pattern
+        return [arr.tobytes() for arr in (pattern.indices, pattern.indptr, pattern.diagonal_slots)]
+
     def test_pruning_returns_systems_without_zeros_as_they_are(self):
-        systems = self.frozen_systems(generate_icosphere(1.0, 2))
+        mesh = generate_icosphere(1.0, 2)
+        before = self.pattern_bytes(mesh)
+        systems = self.frozen_systems(mesh)
         assert all((A.data != 0.0).all() for A, _ in systems)
-        assert stepper._without_zeros(systems) is systems
+        pruned = stepper._without_zeros(self.frozen_systems(mesh))
+        x = np.random.default_rng(5).standard_normal(mesh.n_nodes)
+        for (A, diag), (B, kept_diag) in zip(systems, pruned):
+            assert kept_diag.tobytes() == diag.tobytes()
+            assert B.nnz == A.nnz
+            for name in ("data", "indices", "indptr"):
+                assert getattr(B, name).dtype == getattr(A, name).dtype
+                assert getattr(B, name).tobytes() == getattr(A, name).tobytes()
+            assert (B @ x).tobytes() == (A @ x).tobytes()
+        assert self.pattern_bytes(mesh) == before
 
     def test_pruned_systems_share_one_structure_in_row_order(self):
         n = 6
-        systems = self.frozen_systems(generate_square(2.0, n))
-        pruned = stepper._without_zeros(systems)
+        mesh = generate_square(2.0, n)
+        before = self.pattern_bytes(mesh)
+        systems = self.frozen_systems(mesh)
+        pruned = stepper._without_zeros(self.frozen_systems(mesh))
         (A_eta, _), (A_theta, _) = pruned
-        assert np.shares_memory(A_eta.indices, A_theta.indices)
-        assert np.shares_memory(A_eta.indptr, A_theta.indptr)
+        assert np.array_equal(A_eta.indices, A_theta.indices)
+        assert np.array_equal(A_eta.indptr, A_theta.indptr)
         x = np.random.default_rng(5).standard_normal(A_eta.shape[0])
         for (A, diag), (B, kept_diag) in zip(systems, pruned):
-            assert kept_diag is diag
+            assert kept_diag.tobytes() == diag.tobytes()
             assert B.nnz == A.nnz - 2 * n * n and (B.data != 0.0).all()
             assert B.indices.dtype == A.indices.dtype and B.indptr.dtype == A.indptr.dtype
             for row in range(A.shape[0]):
@@ -775,6 +793,7 @@ class TestRun:
                 assert np.array_equal(B.indices[kept], A.indices[full][nonzero])
                 assert np.array_equal(B.data[kept], A.data[full][nonzero])
             assert (B @ x).tobytes() == (A @ x).tobytes()
+        assert self.pattern_bytes(mesh) == before
 
     def test_frozen_run_computes_one_geometry_pass(self, monkeypatch):
         passes = count_geometry_passes(monkeypatch)
