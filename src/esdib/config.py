@@ -1,7 +1,6 @@
 """Run configuration: experiment presets, INI config files, and overrides.
 
-A run is described by four sections (all keys optional once a preset or a
-file supplies the required ones):
+A run is described by four sections:
 
 * ``[domain]`` -- ``kind`` (square | sphere), ``size`` (edge length or
   radius), ``resolution`` (grid divisions or subdivision level; defaults to
@@ -28,10 +27,14 @@ options.  The table converts text only; each value is checked by the type
 that holds it (:class:`~esdib.meshgen.DomainSpec`, :class:`RunConfig` for the
 kinetics, :class:`~esdib.stepper.SolverConfig`, :class:`OutputConfig`), and
 its rejection is re-raised as a :class:`ConfigError` that names the
-``section.key``.  All text is converted before any value is checked; the
-owners then check the domain, solver, output and kinetics sections in that
-order.  :func:`load_domain` resolves the ``[domain]`` section alone the same
-way, for ``esdib mesh``.
+``section.key``.  Five keys have no package default: ``domain.kind``,
+``domain.size``, ``kinetics.B``, ``kinetics.C`` and ``solver.T``; one that no
+layer sets is a text error, ``missing required config value section.key``.
+Errors come in two phases: all text is converted and every required key
+found, in schema order, before any value is checked; the owners then check
+the domain, solver, output and kinetics sections in that order.
+:func:`load_domain` resolves the ``[domain]`` section alone the same way, for
+``esdib mesh``.
 """
 
 from __future__ import annotations
@@ -274,31 +277,24 @@ def _merge(path, preset, overrides) -> dict[str, dict[str, str]]:
     return raw
 
 
-#: the value of a key that no layer sets: NaN, which every owner rejects, so
-#: that :func:`_owned` reports it as missing in the owner's own order of checks
-_MISSING = math.nan
-
-
 def _parse(raw: dict[str, dict[str, str]], section: str) -> dict:
-    """Typed values of one merged section, converted key by key in schema order."""
+    """Typed values of one merged section, converted key by key in schema order;
+    a key that no layer sets is missing, unless it is ``domain.resolution``."""
     texts = raw[section]
     values = {}
     for key, parse in _SCHEMA[section].items():
         if key in texts:
             values[key] = parse(f"{section}.{key}", texts[key])
         elif key != "resolution":  # DomainSpec resolves a missing resolution
-            values[key] = _MISSING
+            raise ConfigError(f"missing required config value {section}.{key}")
     return values
 
 
 def _owned(section: str, owner, values: dict):
-    """``owner(**values)``; its rejection, which starts with a key, names ``section.key``."""
+    """``owner(**values)``; its rejection, which starts with a key, gets a ``section.`` prefix."""
     try:
         return owner(**values)
     except (ValueError, ConfigError) as e:
-        key = str(e).split()[0]
-        if values.get(key) is _MISSING:
-            raise ConfigError(f"missing required config value {section}.{key}") from None
         raise ConfigError(f"{section}.{e}") from e
 
 
@@ -318,7 +314,9 @@ def load_config(path=None, preset=None, overrides=None) -> RunConfig:
     ------
     ConfigError
         Unknown preset id, missing file, parse errors (with line numbers),
-        unknown keys, or invalid values (named as section.key).
+        unknown keys, then, in schema order, text that does not convert or a
+        missing required key, then invalid values in the order domain,
+        solver, output, kinetics; keys are named as ``section.key``.
     """
     raw = _merge(path, preset, overrides)
     values = {section: _parse(raw, section) for section in _SCHEMA}

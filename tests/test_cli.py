@@ -135,6 +135,16 @@ class TestUsageErrors:
             "--out", str(tmp_path / "x"),
         ) == 2
 
+    def test_config_without_final_time(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            "[domain]\nkind = square\nsize = 2.0\n\n[kinetics]\nB = 30.0\nC = 3.0\n"
+        )
+        out = tmp_path / "x"
+        assert run_main("run", "--config", str(ini), "--out", str(out)) == 2
+        assert "missing required config value solver.T" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_override_key(self, tmp_path):
         assert run_main(*quick_run_args(tmp_path / "x", "--solver.step", "5")) == 2
 
@@ -343,8 +353,9 @@ class TestMeshCommand:
         nodes, triangles, _ = read_vtk(out)
         assert not SurfaceMesh(nodes, triangles).is_closed()
 
-    def test_mesh_requires_domain(self, tmp_path):
+    def test_mesh_requires_domain(self, tmp_path, capsys):
         assert run_main("mesh", "-o", str(tmp_path / "m.vtk")) == 2
+        assert "missing required config value domain.kind" in capsys.readouterr().err
 
     def test_mesh_unknown_preset(self, tmp_path):
         assert run_main("mesh", "--preset", "0", "-o", str(tmp_path / "m.vtk")) == 2

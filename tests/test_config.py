@@ -7,6 +7,23 @@ import pytest
 from esdib import PRESETS, ConfigError, dump_config, load_config
 from esdib.config import OutputConfig, load_domain
 
+#: the five keys without a package default, with values that complete a
+#: configuration without a preset
+REQUIRED = {
+    "domain.kind": "sphere", "domain.size": "2.0",
+    "kinetics.B": "30.0", "kinetics.C": "3.0", "solver.T": "1.0",
+}
+
+
+def write_ini(path, entries):
+    """Write ``section.key -> text`` entries as an INI file; returns its path."""
+    sections = {}
+    for dotted, text in entries.items():
+        section, key = dotted.split(".")
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    path.write_text("\n".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items()))
+    return str(path)
+
 
 class TestPresets:
     def test_table(self):
@@ -258,6 +275,28 @@ class TestValidation:
         for field, bad in (("rho", -1.0), ("B", float("nan")), ("amplitude", -1.0), ("seed", -1)):
             with pytest.raises(ValueError, match=field):
                 replace(cfg, **{field: bad})
+
+    @pytest.mark.parametrize(
+        "missing,bad",
+        [(key, {}) for key in REQUIRED]
+        # every required key is found before any value is checked
+        + [("kinetics.B", {"domain.size": "-5"}), ("solver.T", {"solver.tau": "-1"})],
+        ids=[*REQUIRED, "kinetics.B-before-size", "solver.T-before-tau"],
+    )
+    def test_missing_required_key_named(self, tmp_path, missing, bad):
+        entries = {k: v for k, v in dict(REQUIRED, **bad).items() if k != missing}
+        with pytest.raises(ConfigError) as e:
+            load_config(path=write_ini(tmp_path / "run.ini", entries))
+        assert str(e.value) == f"missing required config value {missing}"
+
+    @pytest.mark.parametrize(
+        "missing,overrides",
+        [("domain.kind", {"domain.size": "2.0"}), ("domain.size", {"domain.kind": "square"})],
+    )
+    def test_load_domain_names_missing_key(self, missing, overrides):
+        with pytest.raises(ConfigError) as e:
+            load_domain(overrides=overrides)
+        assert str(e.value) == f"missing required config value {missing}"
 
     def test_bad_override_shape(self):
         with pytest.raises(ConfigError, match="section.key"):
