@@ -161,6 +161,14 @@ def generate_icosphere(R: float, level: int) -> SurfaceMesh:
     edge midpoints are deduplicated so the surface stays closed.  A radius
     that is not positive and finite, or a ``level`` that is not an integer
     >= 0, raises :class:`ConfigError`.
+
+    The 12 icosahedron vertices come first.  Each round keeps every node and
+    appends its edge midpoints in ascending undirected code ``lo * n + hi``,
+    with ``n`` the node count before the round.  Parent face ``k = (a, b, c)``
+    gives faces ``(a, ab, ca)``, ``(b, bc, ab)``, ``(c, ca, bc)`` and
+    ``(ab, bc, ca)``, as four blocks of ``m`` faces: ``k``, ``m + k``,
+    ``2 m + k`` and ``3 m + k``.  The seeded initial state and every artifact
+    depend on this order.
     """
     if not (R > 0.0 and math.isfinite(R)):
         raise ConfigError(f"sphere radius must be positive and finite, got {R}")
@@ -174,29 +182,53 @@ def generate_icosphere(R: float, level: int) -> SurfaceMesh:
 
 
 def _subdivide_on_sphere(nodes, faces, radius):
-    """One round of midpoint subdivision with projection to the sphere."""
-    n = nodes.shape[0]
-    a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
-    pairs = np.concatenate(
-        [np.stack([a, b], 1), np.stack([b, c], 1), np.stack([c, a], 1)], axis=0
-    )
-    lo = pairs.min(axis=1).astype(np.int64)
-    hi = pairs.max(axis=1).astype(np.int64)
-    codes, inverse = np.unique(lo * n + hi, return_inverse=True)
-    mids = 0.5 * (nodes[codes // n] + nodes[codes % n])
-    mids *= radius / np.linalg.norm(mids, axis=1)[:, None]
+    """One round of midpoint subdivision with projection to the sphere.
 
-    m = faces.shape[0]
-    mid_ab = n + inverse[:m]
-    mid_bc = n + inverse[m : 2 * m]
-    mid_ca = n + inverse[2 * m :]
-    new_faces = np.concatenate(
-        [
-            np.stack([a, mid_ab, mid_ca], 1),
-            np.stack([b, mid_bc, mid_ab], 1),
-            np.stack([c, mid_ca, mid_bc], 1),
-            np.stack([mid_ab, mid_bc, mid_ca], 1),
-        ],
-        axis=0,
-    )
-    return np.vstack([nodes, mids]), new_faces
+    The ``n`` old nodes keep their places.  Each undirected edge ``(lo, hi)``
+    gets one midpoint, and the midpoints follow in ascending code
+    ``lo * n + hi``.  Parent face ``k = (a, b, c)`` with midpoints ``ab``,
+    ``bc`` and ``ca`` gives faces ``k``, ``m + k``, ``2 m + k`` and
+    ``3 m + k``: ``(a, ab, ca)``, ``(b, bc, ab)``, ``(c, ca, bc)`` and
+    ``(ab, bc, ca)``.
+
+    A midpoint is ``0.5 * (p_lo + p_hi)`` times ``radius`` over its norm, and
+    the norm sums ``x x + y y + z z`` in that order, as ``norm(axis=1)``
+    does.  One unstable sort ranks the edge codes: tied codes share a
+    midpoint, so their order in the sort changes no index.
+    """
+    n, m = nodes.shape[0], faces.shape[0]
+    # corners 0, 1, 2 and 0 again as rows: rows 0-2 and rows 1-3 are the two
+    # ends of edges ab, bc and ca, one block of m edges each
+    ends = np.empty((4, m), dtype=np.int64)
+    ends[:3] = faces.T
+    ends[3] = ends[0]
+    u, v = ends[:3].ravel(), ends[1:].ravel()
+    codes = np.minimum(u, v) * n + np.maximum(u, v)
+    order = codes.argsort()
+    ranked = codes[order]
+    first = np.empty(ranked.size, dtype=bool)  # first use of each edge
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    mid = np.empty(3 * m, dtype=np.int64)  # node index of each edge's midpoint
+    mid[order] = np.cumsum(first) + (n - 1)
+    mid = mid.reshape(3, m)  # rows ab, bc and ca
+
+    unique = ranked[first]
+    lo = unique // n
+    out = np.empty((n + unique.size, 3))
+    out[:n] = nodes
+    mids = out[n:]
+    np.take(nodes, lo, axis=0, out=mids)
+    mids += np.take(nodes, unique - lo * n, axis=0)
+    mids *= 0.5
+    sq = mids * mids
+    norm = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+    mids *= (radius / norm)[:, None]
+
+    new_faces = np.empty((4, m, 3), dtype=np.int64)  # [block, parent face, corner]
+    new_faces[:3, :, 0] = faces.T
+    new_faces[:3, :, 1] = mid
+    new_faces[0, :, 2] = mid[2]
+    new_faces[1:3, :, 2] = mid[:2]
+    new_faces[3] = mid.T
+    return out, new_faces.reshape(4 * m, 3)

@@ -13,7 +13,7 @@ from esdib import (
     default_resolution,
     surface_area,
 )
-from esdib.meshgen import generate_icosphere, generate_square
+from esdib.meshgen import _ICO_FACES, _ICO_VERTS, generate_icosphere, generate_square
 
 
 def undirected_edge_count(mesh):
@@ -118,13 +118,15 @@ class TestSquare:
 
 
 class TestIcosphere:
-    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    # levels 4, 5 and 6 are the ones the sphere presets run
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
     def test_counts(self, level):
         mesh = generate_icosphere(1.0, level)
         assert mesh.n_nodes == 10 * 4**level + 2
         assert mesh.n_triangles == 20 * 4**level
+        assert mesh.is_closed()
 
-    @pytest.mark.parametrize("level", [0, 1, 3])
+    @pytest.mark.parametrize("level", [0, 1, 3, 4, 5, 6])
     def test_euler_characteristic_of_sphere(self, level):
         mesh = generate_icosphere(1.0, level)
         V, F = mesh.n_nodes, mesh.n_triangles
@@ -185,6 +187,48 @@ class TestIcosphere:
         b = generate_icosphere(2.0, 3)
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.triangles, b.triangles)
+
+    @staticmethod
+    def former_icosphere_arrays(R, level):
+        # the former construction, by axis-1 reductions, np.unique, row
+        # fancy-indexing, stack and concatenate
+        nodes = _ICO_VERTS * (R / np.linalg.norm(_ICO_VERTS[0]))
+        faces = _ICO_FACES
+        for _ in range(level):
+            n = nodes.shape[0]
+            a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
+            pairs = np.concatenate(
+                [np.stack([a, b], 1), np.stack([b, c], 1), np.stack([c, a], 1)], axis=0
+            )
+            lo = pairs.min(axis=1).astype(np.int64)
+            hi = pairs.max(axis=1).astype(np.int64)
+            codes, inverse = np.unique(lo * n + hi, return_inverse=True)
+            mids = 0.5 * (nodes[codes // n] + nodes[codes % n])
+            mids *= R / np.linalg.norm(mids, axis=1)[:, None]
+            m = faces.shape[0]
+            mid_ab = n + inverse[:m]
+            mid_bc = n + inverse[m : 2 * m]
+            mid_ca = n + inverse[2 * m :]
+            faces = np.concatenate(
+                [
+                    np.stack([a, mid_ab, mid_ca], 1),
+                    np.stack([b, mid_bc, mid_ab], 1),
+                    np.stack([c, mid_ca, mid_bc], 1),
+                    np.stack([mid_ab, mid_bc, mid_ca], 1),
+                ],
+                axis=0,
+            )
+            nodes = np.vstack([nodes, mids])
+        return nodes, faces
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("R", [1.0, 3.0, 20.0 / 3.0])
+    def test_arrays_match_former_construction_bitwise(self, R, level):
+        nodes, triangles = self.former_icosphere_arrays(R, level)
+        mesh = generate_icosphere(R, level)
+        for got, want in ((mesh.nodes, nodes), (mesh.triangles, triangles)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
