@@ -34,7 +34,6 @@ from .errors import (
 )
 from .config import (
     PRESETS,
-    ExperimentPreset,
     OutputConfig,
     RunConfig,
     dump_config,
@@ -93,7 +92,6 @@ __all__ = [
     "DiagnosticsSeries",
     "DomainSpec",
     "EsdibError",
-    "ExperimentPreset",
     "FieldPair",
     "KineticsParams",
     "MeshQuality",

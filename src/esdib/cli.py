@@ -6,9 +6,10 @@ Three subcommands::
     esdib mesh   [--preset N] [--kind KIND] [--size S] [--resolution R] -o FILE [--obj FILE]
     esdib verify
 
-``run`` writes an artifact directory: the resolved configuration, the
-diagnostics CSV, the final state as VTK (plus OBJ on request), periodic
-snapshots when enabled, and a JSON summary.  Every ``section.key`` of the
+``run`` writes an artifact directory: the resolved configuration (which
+reruns it on its own with ``--config``), the diagnostics CSV, the final
+state as VTK (plus OBJ on request), periodic snapshots when enabled, and a
+JSON summary.  Every ``section.key`` of the
 config key table is an option of ``run``, for example ``--solver.tau 0.005``;
 ``esdib run --help`` lists them all.  ``mesh`` takes the ``[domain]`` keys as
 ``--kind``, ``--size`` and ``--resolution``, on top of the preset's domain.
@@ -125,7 +126,6 @@ def run_from_config(cfg: RunConfig) -> tuple[int, str]:
 
     areas = series.areas
     summary = {
-        "preset": cfg.preset_id,
         "domain": {
             "kind": cfg.domain.kind,
             "size": cfg.domain.size,

@@ -19,22 +19,24 @@ overrides.  The package defaults are the keyword defaults of
 :func:`~esdib.kinetics.default_params` and
 :func:`~esdib.kinetics.initial_condition` and the field defaults of
 :class:`~esdib.stepper.SolverConfig` (except the required ``T``) and
-:class:`OutputConfig`; a preset supplies kind, size, B, C, rho and T.  The
-merged layers are converted to typed values through one key table,
-:data:`_SCHEMA`, which also rejects unknown sections and keys, orders
-:func:`dump_config` and, as :data:`CONFIG_KEYS`, names the command-line
-options.  The table converts text only; each value is checked by the type
-that holds it (:class:`~esdib.meshgen.DomainSpec`, :class:`RunConfig` for the
-kinetics, :class:`~esdib.stepper.SolverConfig`, :class:`OutputConfig`), and
-its rejection is re-raised as a :class:`ConfigError` that names the
+:class:`OutputConfig`; a preset, one entry of :data:`PRESETS`, is a layer of
+text that sets kind, size, B, C, rho and T.  The merged layers are converted
+to typed values through one key table, :data:`_SCHEMA`, which also rejects
+unknown sections and keys, orders :func:`dump_config` and, as
+:data:`CONFIG_KEYS`, names the command-line options.  The table converts text
+only; each value is checked by the type that holds it
+(:class:`~esdib.meshgen.DomainSpec`, :class:`RunConfig` for the kinetics,
+:class:`~esdib.stepper.SolverConfig`, :class:`OutputConfig`), and its
+rejection is re-raised as a :class:`ConfigError` that names the
 ``section.key``.  Five keys have no package default: ``domain.kind``,
 ``domain.size``, ``kinetics.B``, ``kinetics.C`` and ``solver.T``; one that no
 layer sets is a text error, ``missing required config value section.key``.
-Errors come in two phases: all text is converted and every required key
-found, in schema order, before any value is checked; the owners then check
-the domain, solver, output and kinetics sections in that order.
+Errors come in two phases: all text is converted and every required key found,
+in schema order, before any value is checked; the owners then check the
+domain, solver, output and kinetics sections in that order.
 :func:`load_domain` resolves the ``[domain]`` section alone the same way, for
-``esdib mesh``.
+``esdib mesh``.  A :class:`RunConfig` holds exactly what :func:`dump_config`
+writes, so a run's ``config.ini`` loads, without a preset, to an equal one.
 """
 
 from __future__ import annotations
@@ -110,27 +112,23 @@ def _render(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class ExperimentPreset:
-    """One of the canonical experiments: domain, kinetics overrides, final time."""
-
-    preset_id: int
-    domain: DomainSpec
-    B: float
-    C: float
-    rho: float
-    T: float
-
-
 #: the six canonical experiments: three kinetic regimes (labyrinths at B=30,
-#: spots at B=66, inverted spots at B=62/C=5), each on a flat sheet and on a sphere
-PRESETS: dict[int, ExperimentPreset] = {
-    1: ExperimentPreset(1, DomainSpec("square", 20.0), 30.0, 3.0, 2.0, 12.0),
-    2: ExperimentPreset(2, DomainSpec("square", 30.0), 66.0, 3.0, 1.0, 20.0),
-    3: ExperimentPreset(3, DomainSpec("square", 20.0), 62.0, 5.0, 2.0, 60.0),
-    4: ExperimentPreset(4, DomainSpec("sphere", 3.0), 30.0, 3.0, 2.0, 12.0),
-    5: ExperimentPreset(5, DomainSpec("sphere", 10.0), 66.0, 3.0, 1.0, 20.0),
-    6: ExperimentPreset(6, DomainSpec("sphere", 5.0), 62.0, 5.0, 2.0, 50.0),
+#: spots at B=66, inverted spots at B=62/C=5), each on a flat sheet and on a
+#: sphere.  Each is the section -> key -> text layer that :func:`load_config`
+#: applies over the package defaults; a run records the values, not the id
+PRESETS: dict[int, dict[str, dict[str, str]]] = {
+    1: {"domain": {"kind": "square", "size": "20.0"},
+        "kinetics": {"B": "30.0", "C": "3.0", "rho": "2.0"}, "solver": {"T": "12.0"}},
+    2: {"domain": {"kind": "square", "size": "30.0"},
+        "kinetics": {"B": "66.0", "C": "3.0", "rho": "1.0"}, "solver": {"T": "20.0"}},
+    3: {"domain": {"kind": "square", "size": "20.0"},
+        "kinetics": {"B": "62.0", "C": "5.0", "rho": "2.0"}, "solver": {"T": "60.0"}},
+    4: {"domain": {"kind": "sphere", "size": "3.0"},
+        "kinetics": {"B": "30.0", "C": "3.0", "rho": "2.0"}, "solver": {"T": "12.0"}},
+    5: {"domain": {"kind": "sphere", "size": "10.0"},
+        "kinetics": {"B": "66.0", "C": "3.0", "rho": "1.0"}, "solver": {"T": "20.0"}},
+    6: {"domain": {"kind": "sphere", "size": "5.0"},
+        "kinetics": {"B": "62.0", "C": "5.0", "rho": "2.0"}, "solver": {"T": "50.0"}},
 }
 
 
@@ -160,11 +158,12 @@ class OutputConfig:
                 f"or have # or ; right after whitespace, got {text!r}"
             )
         sample, snapshot = self.sample_stride, self.snapshot_stride
-        if not (isinstance(sample, numbers.Integral) and sample >= 1):
+        if not (isinstance(sample, numbers.Integral) and not isinstance(sample, bool)
+                and sample >= 1):
             raise ValueError(f"sample_stride must be an integer at least 1, got {sample!r}")
         # snapshots are taken by an observer, which run calls only at sampled steps
-        if not (isinstance(snapshot, numbers.Integral) and snapshot >= 0
-                and snapshot % sample == 0):
+        if not (isinstance(snapshot, numbers.Integral) and not isinstance(snapshot, bool)
+                and snapshot >= 0 and snapshot % sample == 0):
             raise ValueError(
                 f"snapshot_stride must be a multiple of sample_stride ({sample}) "
                 f"and at least 0, got {snapshot!r}"
@@ -191,13 +190,13 @@ class RunConfig:
     shared_noise: bool
     solver: SolverConfig
     output: OutputConfig
-    preset_id: int | None = None
 
     def __post_init__(self):
         self.kinetics_params()
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
             raise ValueError(f"amplitude must be finite and at least 0, got {self.amplitude}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
             raise ValueError(f"seed must be an integer at least 0, got {self.seed!r}")
 
     def kinetics_params(self) -> KineticsParams:
@@ -224,14 +223,6 @@ _DEFAULTS = {
 }
 
 
-def _preset_layer(p: ExperimentPreset) -> dict[str, dict[str, str]]:
-    return {
-        "domain": {"kind": p.domain.kind, "size": _render(p.domain.size)},
-        "kinetics": {"B": _render(p.B), "C": _render(p.C), "rho": _render(p.rho)},
-        "solver": {"T": _render(p.T)},
-    }
-
-
 def _read_ini(path: str) -> dict[str, dict[str, str]]:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -253,11 +244,10 @@ def _merge(path, preset, overrides) -> dict[str, dict[str, str]]:
     """Defaults < preset < config file < overrides, as one section -> key -> text table."""
     raw = {section: dict(_DEFAULTS.get(section, {})) for section in _SCHEMA}
     if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset}; valid ids are {sorted(PRESETS)}"
-            )
-        for section, entries in _preset_layer(PRESETS[preset]).items():
+        # True == 1 and 4.0 == 4 would find a preset by value
+        if isinstance(preset, bool) or not isinstance(preset, int) or preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; valid ids are {sorted(PRESETS)}")
+        for section, entries in PRESETS[preset].items():
             raw[section].update(entries)
     if path is not None:
         for section, entries in _read_ini(path).items():
@@ -306,14 +296,16 @@ def load_config(path=None, preset=None, overrides=None) -> RunConfig:
     path : str, optional
         INI config file; its values override the preset.
     preset : int, optional
-        Canonical experiment id (1 to 6) supplying domain, B, C, rho, T.
+        Canonical experiment id (1 to 6): the :data:`PRESETS` layer that
+        supplies kind, size, B, C, rho and T.
     overrides : dict, optional
         Dotted ``section.key`` strings mapping to raw values, applied last.
 
     Raises
     ------
     ConfigError
-        Unknown preset id, missing file, parse errors (with line numbers),
+        Unknown preset id (not an ``int`` key of :data:`PRESETS`; a bool
+        is not one), missing file, parse errors (with line numbers),
         unknown keys, then, in schema order, text that does not convert or a
         missing required key, then invalid values in the order domain,
         solver, output, kinetics; keys are named as ``section.key``.
@@ -325,7 +317,6 @@ def load_config(path=None, preset=None, overrides=None) -> RunConfig:
         domain=_owned("domain", DomainSpec, values["domain"]),
         solver=_owned("solver", SolverConfig, values["solver"]),
         output=_owned("output", OutputConfig, values["output"]),
-        preset_id=None if preset is None else PRESETS[preset].preset_id,
     ))
 
 
@@ -339,7 +330,10 @@ def load_domain(preset=None, overrides=None) -> DomainSpec:
 
 
 def dump_config(cfg: RunConfig) -> str:
-    """Render a resolved configuration as canonical INI text, in schema order."""
+    """Render a resolved configuration as canonical INI text, in schema order.
+
+    ``load_config(path=...)`` reads the text back to a :class:`RunConfig` equal to ``cfg``.
+    """
     owners = {
         "domain": cfg.domain, "kinetics": cfg, "solver": cfg.solver, "output": cfg.output,
     }

@@ -100,7 +100,8 @@ class DomainSpec:
                     f"size must leave a finite default resolution, got {self.size}"
                 ) from None
             object.__setattr__(self, "resolution", resolution)
-        if not (isinstance(self.resolution, numbers.Integral) and self.resolution >= 1):
+        if not (isinstance(self.resolution, numbers.Integral)
+                and not isinstance(self.resolution, bool) and self.resolution >= 1):
             raise ConfigError(
                 f"resolution must be an integer at least 1, got {self.resolution!r}"
             )
@@ -135,7 +136,7 @@ def generate_square(L: float, n: int) -> SurfaceMesh:
     """
     if not (L > 0.0 and math.isfinite(L)):
         raise ConfigError(f"square edge must be positive and finite, got {L}")
-    if not (isinstance(n, numbers.Integral) and n >= 1):
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
         raise ConfigError(f"grid divisions must be an integer at least 1, got {n!r}")
     ticks = np.linspace(0.0, L, n + 1)
     nodes = np.zeros(((n + 1) * (n + 1), 3))
@@ -172,7 +173,7 @@ def generate_icosphere(R: float, level: int) -> SurfaceMesh:
     """
     if not (R > 0.0 and math.isfinite(R)):
         raise ConfigError(f"sphere radius must be positive and finite, got {R}")
-    if not (isinstance(level, numbers.Integral) and level >= 0):
+    if not (isinstance(level, numbers.Integral) and not isinstance(level, bool) and level >= 0):
         raise ConfigError(f"subdivision level must be an integer at least 0, got {level!r}")
     nodes = _ICO_VERTS * (R / np.linalg.norm(_ICO_VERTS[0]))
     faces = _ICO_FACES

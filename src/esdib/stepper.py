@@ -82,7 +82,8 @@ class SolverConfig:
             raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
         if not math.isfinite(self.T / self.tau):
             raise ValueError(f"T / tau must be a finite number of steps, got {self.T} / {self.tau}")
-        if not (isinstance(self.cg_maxiter, numbers.Integral) and self.cg_maxiter >= 1):
+        if not (isinstance(self.cg_maxiter, numbers.Integral)
+                and not isinstance(self.cg_maxiter, bool) and self.cg_maxiter >= 1):
             raise ValueError(f"cg_maxiter must be an integer at least 1, got {self.cg_maxiter!r}")
         area = self.min_triangle_area
         if area is not None and not (area > 0.0 and math.isfinite(area)):
@@ -415,7 +416,7 @@ def run(
         a new state with the initial time, mesh nodes and fields.
     """
     _check_state(initial)
-    if not (isinstance(stride, numbers.Integral) and stride >= 1):
+    if not (isinstance(stride, numbers.Integral) and not isinstance(stride, bool) and stride >= 1):
         raise ValueError(f"sampling stride must be an integer at least 1, got {stride!r}")
     series = DiagnosticsSeries(evolving=params.kappa != 0.0)
     # an own handle on the same arrays keeps the geometry cache and the pattern off

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from esdib import (
-    PRESETS,
     DomainSpec,
     SimState,
     SolverConfig,
@@ -183,7 +182,7 @@ def test_criterion_8_turing_amplification(preset_id):
     visible pattern (std of eta from <= 1e-4 to >= 1e-2) and grows the
     surface monotonically by more than 5% within min(T, 10)."""
     start = time.perf_counter()
-    preset = PRESETS[preset_id]
+    preset = load_config(preset=preset_id)
     resolution = 64 if preset.domain.kind == "square" else 4
     mesh = build_domain(
         DomainSpec(preset.domain.kind, preset.domain.size, resolution)
@@ -191,7 +190,7 @@ def test_criterion_8_turing_amplification(preset_id):
     params = default_params(B=preset.B, C=preset.C, rho=preset.rho)
     fields = initial_condition(mesh, params, seed=42)
     state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
-    cfg = SolverConfig(tau=1e-2, T=min(preset.T, 10.0))
+    cfg = SolverConfig(tau=1e-2, T=min(preset.solver.T, 10.0))
     final, series = run(state, params, cfg, stride=10)
 
     stds = series.column("eta_std")

@@ -47,7 +47,7 @@ class TestRunCommand:
         assert nodes.shape == (17 * 17, 3)
 
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["preset"] == 1
+        assert "preset" not in summary  # config.ini records the values, not the id
         assert summary["domain"] == {"kind": "square", "size": 20.0, "resolution": 16}
         assert summary["steps_taken"] == 10
         assert summary["final_time"] == pytest.approx(0.1, rel=1e-12)
@@ -86,6 +86,25 @@ class TestRunCommand:
             rows = list(csv.DictReader(f))
         areas = np.array([float(r["area"]) for r in rows])
         assert np.max(np.abs(areas - areas[0])) <= 1e-12 * areas[0]
+
+    def test_own_config_ini_reruns_it(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_main(
+            "run", "--preset", "4", "--out", str(first), "--domain.resolution", "1",
+            "--solver.T", "0.1", "--output.sample_stride", "2",
+            "--output.snapshot_stride", "4", "--output.write_obj", "true",
+        ) == 0
+        # no --preset: the file alone
+        assert run_main("run", "--config", str(first / "config.ini"), "--out", str(second)) == 0
+        names = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+        assert names == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+        assert len(names) == 8  # config, CSV, summary, final VTK and OBJ, 3 snapshots
+        for name in names:
+            a, b = (first / name).read_bytes(), (second / name).read_bytes()
+            if name.name == "config.ini":  # only the directory line may differ
+                assert f"directory = {second}\n".encode() in b
+                a, b = (re.sub(rb"(?m)^directory = .*\n", b"", text) for text in (a, b))
+            assert a == b, name
 
     def test_override_equals_form(self, tmp_path):
         out = tmp_path / "artifacts"

@@ -1,10 +1,13 @@
 """Preset table, INI loading, precedence, and validation messages."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
-from esdib import PRESETS, ConfigError, dump_config, load_config
+from esdib import (
+    PRESETS, ConfigError, DomainSpec, RunConfig, SolverConfig, dump_config, load_config,
+)
 from esdib.config import OutputConfig, load_domain
 
 #: the five keys without a package default, with values that complete a
@@ -28,6 +31,7 @@ def write_ini(path, entries):
 class TestPresets:
     def test_table(self):
         assert sorted(PRESETS) == [1, 2, 3, 4, 5, 6]
+        # kind, size, resolved resolution, B, C, rho, T
         rows = {
             1: ("square", 20.0, 100, 30.0, 3.0, 2.0, 12.0),
             2: ("square", 30.0, 150, 66.0, 3.0, 1.0, 20.0),
@@ -37,24 +41,21 @@ class TestPresets:
             6: ("sphere", 5.0, 5, 62.0, 5.0, 2.0, 50.0),
         }
         for pid, (kind, size, res, B, C, rho, T) in rows.items():
-            p = PRESETS[pid]
-            assert p.preset_id == pid
-            assert (p.domain.kind, p.domain.size, p.domain.resolution) == (
+            cfg = load_config(preset=pid)
+            assert (cfg.domain.kind, cfg.domain.size, cfg.domain.resolution) == (
                 kind, size, res,
             )
-            assert (p.B, p.C, p.rho, p.T) == (B, C, rho, T)
+            assert (cfg.B, cfg.C, cfg.rho, cfg.solver.T) == (B, C, rho, T)
 
     def test_preset_resolution_matches_target_edge(self):
         # flat sheets aim for edge length 0.2; spheres for the nearest level
-        assert PRESETS[1].domain.size / PRESETS[1].domain.resolution == pytest.approx(
-            0.2, rel=1e-12
-        )
+        domain = load_config(preset=1).domain
+        assert domain.size / domain.resolution == pytest.approx(0.2, rel=1e-12)
 
 
 class TestLoadConfig:
     def test_preset_only(self):
         cfg = load_config(preset=1)
-        assert cfg.preset_id == 1
         assert (cfg.domain.kind, cfg.domain.size, cfg.domain.resolution) == (
             "square", 20.0, 100,
         )
@@ -126,7 +127,6 @@ class TestLoadConfig:
             "[solver]\nT = 5.0\n"
         )
         cfg = load_config(path=str(ini))
-        assert cfg.preset_id is None
         assert cfg.domain.kind == "sphere"
         assert cfg.solver.T == 5.0
 
@@ -160,8 +160,12 @@ class TestLoadConfig:
 
 class TestValidation:
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError, match=r"\[1, 2, 3, 4, 5, 6\]"):
-            load_config(preset=7)
+        # True == 1 and 4.0 == 4, but a preset id is an int
+        for preset in (7, True, False, 4.0):
+            with pytest.raises(ConfigError, match=r"unknown preset .*\[1, 2, 3, 4, 5, 6\]"):
+                load_config(preset=preset)
+            with pytest.raises(ConfigError, match=r"unknown preset .*\[1, 2, 3, 4, 5, 6\]"):
+                load_domain(preset)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -264,17 +268,30 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "values",
-        [{"snapshot_stride": 3}, {"directory": " x"}, {"sample_stride": 0}],
+        [
+            {"snapshot_stride": 3}, {"directory": " x"}, {"sample_stride": 0},
+            # a bool is not an integer: config.ini would record true, which reads back as none
+            {"sample_stride": True}, {"sample_stride": 1, "snapshot_stride": True},
+        ],
     )
     def test_output_config_checks_its_values(self, values):
         with pytest.raises(ValueError):
             OutputConfig(**values)
 
     def test_run_config_checks_its_kinetics(self):
-        cfg = load_config(preset=1)
-        for field, bad in (("rho", -1.0), ("B", float("nan")), ("amplitude", -1.0), ("seed", -1)):
-            with pytest.raises(ValueError, match=field):
-                replace(cfg, **{field: bad})
+        # library code that builds the types gets the checks a config file gets
+        values = dict(
+            domain=DomainSpec("sphere", 3.0), B=30.0, C=3.0, rho=2.0, kappa=0.2, d=20.0,
+            amplitude=1e-4, seed=0, shared_noise=False,
+            solver=SolverConfig(T=12.0), output=OutputConfig(),
+        )
+        assert RunConfig(**values) == load_config(preset=4)
+        for field, bad in (
+            ("rho", -1.0), ("B", float("nan")), ("d", 0.0), ("amplitude", -1.0),
+            ("amplitude", math.inf), ("seed", -1), ("seed", True),
+        ):
+            with pytest.raises(ValueError, match=f"^{field} must"):
+                RunConfig(**dict(values, **{field: bad}))
 
     @pytest.mark.parametrize(
         "missing,bad",
@@ -307,24 +324,17 @@ class TestValidation:
 
 class TestDump:
     def test_dump_load_round_trip(self, tmp_path):
-        cfg = load_config(
-            preset=4,
-            overrides={"kinetics.kappa": 0.15, "solver.tau": "0.005",
-                       "output.write_obj": "true"},
-        )
-        text = dump_config(cfg)
+        # the text alone, without the preset, gives back an equal configuration
         path = tmp_path / "echo.ini"
-        path.write_text(text)
-        again = load_config(path=str(path))
-        assert again.domain == cfg.domain
-        assert (again.B, again.C, again.rho, again.kappa) == (
-            cfg.B, cfg.C, cfg.rho, cfg.kappa,
-        )
-        assert (again.d, again.amplitude, again.seed, again.shared_noise) == (
-            cfg.d, cfg.amplitude, cfg.seed, cfg.shared_noise,
-        )
-        assert again.solver == cfg.solver
-        assert again.output == cfg.output
+        for preset in sorted(PRESETS):
+            for overrides in (
+                {},
+                {"kinetics.seed": "7", "solver.tau": "0.005", "solver.min_triangle_area": "1e-9"},
+                {"kinetics.kappa": 0.15, "output.write_obj": "true", "output.sample_stride": 5},
+            ):
+                cfg = load_config(preset=preset, overrides=overrides)
+                path.write_text(dump_config(cfg))
+                assert load_config(path=str(path)) == cfg, (preset, overrides)
 
     @pytest.mark.parametrize("directory", ["runs/#1", "runs/a;b", "my runs/p 4", "a%b"])
     def test_directory_round_trips(self, tmp_path, directory):

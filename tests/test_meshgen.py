@@ -85,7 +85,7 @@ class TestSquare:
         for edge in (np.inf, np.nan):
             with pytest.raises(ConfigError, match="square edge must be positive and finite"):
                 generate_square(edge, 4)
-        for n in (2.5, 2.0, "2"):
+        for n in (2.5, 2.0, "2", True):
             with pytest.raises(ConfigError, match="grid divisions must be an integer"):
                 generate_square(1.0, n)
         assert generate_square(1.0, np.int64(2)).n_nodes == 9
@@ -238,7 +238,7 @@ class TestIcosphere:
         for radius in (np.inf, np.nan):
             with pytest.raises(ConfigError, match="sphere radius must be positive and finite"):
                 generate_icosphere(radius, 1)
-        for level in (2.5, 1.0, "1"):
+        for level in (2.5, 1.0, "1", True, False):
             with pytest.raises(ConfigError, match="subdivision level must be an integer"):
                 generate_icosphere(1.0, level)
         assert generate_icosphere(1.0, np.int64(0)).n_nodes == 12
@@ -285,7 +285,7 @@ class TestDomainSpec:
             DomainSpec("sphere", float("nan"), 2)
         with pytest.raises(ConfigError):
             DomainSpec("sphere", 1.0, 0)
-        for bad in (2.5, 2.0, "2"):
+        for bad in (2.5, 2.0, "2", True):
             with pytest.raises(ConfigError, match="resolution must be an integer"):
                 DomainSpec("square", 2.0, bad)
         for kind in ("square", "sphere"):  # the default resolution overflows

@@ -277,7 +277,7 @@ class TestSolverConfig:
                 SolverConfig(cg_tol=bad)
         with pytest.raises(ValueError):
             SolverConfig(cg_maxiter=0)
-        for bad in (1.5, 10.0, "10"):
+        for bad in (1.5, 10.0, "10", True):
             with pytest.raises(ValueError, match="cg_maxiter must be an integer"):
                 SolverConfig(cg_maxiter=bad)
         assert SolverConfig(cg_maxiter=np.int64(7)).cg_maxiter == 7
@@ -617,7 +617,7 @@ class TestRun:
     def test_bad_stride_rejected(self):
         with pytest.raises(ValueError):
             run(self.state, self.params, SolverConfig(), stride=0)
-        for bad in (2.5, 2.0, "2"):
+        for bad in (2.5, 2.0, "2", True):
             with pytest.raises(ValueError, match="stride must be an integer"):
                 run(self.state, self.params, SolverConfig(), stride=bad)
 
