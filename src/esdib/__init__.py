@@ -73,7 +73,6 @@ from .mesh import (
 from .meshgen import (
     DomainSpec,
     build_domain,
-    default_resolution,
     generate_icosphere,
     generate_square,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "build_domain",
     "compute_node_normals",
     "default_params",
-    "default_resolution",
     "displace_nodes",
     "dump_config",
     "equilibrium_D",

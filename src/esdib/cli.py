@@ -27,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .config import CONFIG_KEYS, RunConfig, dump_config, load_config, load_domain
 from .errors import ConfigError, EsdibError
@@ -84,6 +85,8 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
 def run_from_config(cfg: RunConfig) -> tuple[int, str]:
     """Execute one configured run and write its artifact directory.
 
+    An earlier run's ``final.obj`` and ``snapshots/step_*.vtk`` in the
+    directory are deleted first; every other artifact is overwritten.
     Returns the exit status, 0 or 4, and the artifact directory; a
     degeneracy stop returns 4 with artifacts up to the stop time.  Solver
     failures raise their :class:`EsdibError`, which :func:`main` maps to 3.
@@ -91,6 +94,8 @@ def run_from_config(cfg: RunConfig) -> tuple[int, str]:
     out_dir = cfg.output.directory
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(out_dir, exist_ok=True)
+    for stale in [*Path(out_dir).glob("final.obj"), *Path(snap_dir).glob("step_*.vtk")]:
+        stale.unlink()
     with open(os.path.join(out_dir, "config.ini"), "w", newline="\n") as f:
         f.write(dump_config(cfg))
     if cfg.output.snapshot_stride > 0:

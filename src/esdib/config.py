@@ -43,13 +43,11 @@ from __future__ import annotations
 
 import configparser
 import inspect
-import math
-import numbers
 import os
 import re
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count, check_real
 from .kinetics import KineticsParams, default_params, initial_condition
 from .meshgen import DomainSpec
 from .stepper import SolverConfig
@@ -107,8 +105,8 @@ def _render(value) -> str:
         return "auto"
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # repr of a numpy float names its type
+        return repr(float(value))
     return str(value)
 
 
@@ -157,16 +155,13 @@ class OutputConfig:
                 "directory must not start or end with whitespace, hold a line break, "
                 f"or have # or ; right after whitespace, got {text!r}"
             )
-        sample, snapshot = self.sample_stride, self.snapshot_stride
-        if not (isinstance(sample, numbers.Integral) and not isinstance(sample, bool)
-                and sample >= 1):
-            raise ValueError(f"sample_stride must be an integer at least 1, got {sample!r}")
+        check_count("sample_stride", self.sample_stride, 1)
+        check_count("snapshot_stride", self.snapshot_stride, 0)
         # snapshots are taken by an observer, which run calls only at sampled steps
-        if not (isinstance(snapshot, numbers.Integral) and not isinstance(snapshot, bool)
-                and snapshot >= 0 and snapshot % sample == 0):
+        if self.snapshot_stride % self.sample_stride:
             raise ValueError(
-                f"snapshot_stride must be a multiple of sample_stride ({sample}) "
-                f"and at least 0, got {snapshot!r}"
+                f"snapshot_stride must be a multiple of sample_stride ({self.sample_stride}), "
+                f"got {self.snapshot_stride!r}"
             )
 
 
@@ -193,11 +188,8 @@ class RunConfig:
 
     def __post_init__(self):
         self.kinetics_params()
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0.0):
-            raise ValueError(f"amplitude must be finite and at least 0, got {self.amplitude}")
-        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
-            raise ValueError(f"seed must be an integer at least 0, got {self.seed!r}")
+        check_real("amplitude", self.amplitude, nonnegative=True)
+        check_count("seed", self.seed, 0)
 
     def kinetics_params(self) -> KineticsParams:
         return default_params(self.B, self.C, rho=self.rho, kappa=self.kappa, d=self.d)
@@ -284,7 +276,7 @@ def _owned(section: str, owner, values: dict):
     """``owner(**values)``; its rejection, which starts with a key, gets a ``section.`` prefix."""
     try:
         return owner(**values)
-    except (ValueError, ConfigError) as e:
+    except ValueError as e:
         raise ConfigError(f"{section}.{e}") from e
 
 

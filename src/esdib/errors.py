@@ -1,10 +1,37 @@
-"""Exception taxonomy for the esdib package.
+"""Exception taxonomy for the esdib package, and the two checks of a value.
 
-Every error raised on purpose derives from :class:`EsdibError` so callers
-can catch the whole family at once.  The subclasses separate the failure
-domains the command line driver maps to distinct exit codes: configuration
-problems, numerical solver failures, and geometric degeneracy stops.
+A bad argument value is a ``ValueError``, raised by the type or function
+that owns the value; :func:`check_count` and :func:`check_real` write the
+two common rules once.  Every other error raised on purpose derives from
+:class:`EsdibError` so callers can catch the whole family at once.  The
+subclasses separate the failure domains the command line driver maps to
+distinct exit codes: configuration problems (:class:`ConfigError`, raised
+by the config layer and the command line; the config layer re-raises an
+owner's ``ValueError`` under the ``section.key`` it came from), numerical
+solver failures, and geometric degeneracy stops.
 """
+
+import math
+import numbers
+
+# The two checks name int and float before the ABC: isinstance against an ABC
+# alone takes about 0.4 us, against a builtin type a tenth of that.
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer, not a bool, at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < least:
+        raise ValueError(f"{name} must be an integer at least {least}, got {value!r}")
+
+
+def check_real(name: str, value, positive: bool = False, nonnegative: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite real number, not a bool,
+    and above 0 when ``positive`` or at least 0 when ``nonnegative``."""
+    if (isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real))
+            or not math.isfinite(value)
+            or (positive and value <= 0) or (nonnegative and value < 0)):
+        bound = "positive and " if positive else "at least 0 and " if nonnegative else ""
+        raise ValueError(f"{name} must be {bound}a finite number, got {value!r}")
 
 
 class EsdibError(Exception):
@@ -50,7 +77,7 @@ class ModeError(EsdibError):
 
 
 class ConfigError(EsdibError):
-    """A configuration file, preset id, or override is invalid."""
+    """A configuration file, preset id, override or command line is invalid."""
 
 
 class DataError(EsdibError):

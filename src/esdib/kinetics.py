@@ -19,11 +19,11 @@ Simulations start from that equilibrium plus small uniform noise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_real
 from .mesh import SurfaceMesh
 
 
@@ -34,7 +34,9 @@ class KineticsParams:
     ``d`` is the diffusivity ratio of theta relative to eta, ``rho`` the
     scaling factor applied to both source terms, and ``kappa`` the
     proportionality between eta and the normal velocity of the surface
-    (``kappa = 0`` freezes the surface).
+    (``kappa = 0`` freezes the surface).  Each constant must be a finite
+    number, ``d`` and ``rho`` above 0 and ``kappa`` at least 0, or
+    ``ValueError`` is raised.
     """
 
     A1: float
@@ -52,14 +54,8 @@ class KineticsParams:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.d <= 0.0:
-            raise ValueError(f"d must be positive, got {self.d}")
-        if self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be at least 0, got {self.kappa}")
+            check_real(name, getattr(self, name), positive=name in ("d", "rho"),
+                       nonnegative=name == "kappa")
 
 
 def equilibrium_D(C: float, alpha: float, gamma: float) -> float:
@@ -140,8 +136,7 @@ def initial_condition(
     fields.  Identical seeds reproduce identical fields bit for bit.  An
     ``amplitude`` that is negative, NaN or infinite raises ``ValueError``.
     """
-    if not (math.isfinite(amplitude) and amplitude >= 0.0):
-        raise ValueError(f"noise amplitude must be finite and >= 0, got {amplitude}")
+    check_real("amplitude", amplitude, nonnegative=True)
     rng = np.random.default_rng(seed)
     r_eta = rng.uniform(-1.0, 1.0, mesh.n_nodes)
     r_theta = r_eta if shared_noise else rng.uniform(-1.0, 1.0, mesh.n_nodes)

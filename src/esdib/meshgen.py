@@ -10,12 +10,11 @@ normals: +z for the sheet, radial for the sphere.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check_count, check_real
 from .mesh import SurfaceMesh
 
 #: target edge length used when a resolution is not given explicitly
@@ -76,8 +75,7 @@ class DomainSpec:
     icosphere subdivision level).  ``resolution=None`` is the finest whose edge
     length stays near ``_DEFAULT_EDGE``.  An unknown kind, a size that is not
     positive and finite, a size so large that its default resolution is not
-    finite, or a resolution that is not an integer >= 1 raises
-    :class:`ConfigError`.
+    finite, or a resolution that is not an integer >= 1 raises ``ValueError``.
     """
 
     kind: str
@@ -86,9 +84,8 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.kind not in ("square", "sphere"):
-            raise ConfigError(f"kind must be square or sphere, got {self.kind!r}")
-        if not (self.size > 0.0 and math.isfinite(self.size)):
-            raise ConfigError(f"size must be positive, got {self.size}")
+            raise ValueError(f"kind must be square or sphere, got {self.kind!r}")
+        check_real("size", self.size, positive=True)
         if self.resolution is None:
             try:  # rounding an infinite target to an integer overflows
                 if self.kind == "square":
@@ -96,20 +93,11 @@ class DomainSpec:
                 else:  # unit icosphere edge at level l is about 1.0515 / 2**l
                     resolution = max(1, math.ceil(math.log2(1.0515 * self.size / _DEFAULT_EDGE)))
             except OverflowError:
-                raise ConfigError(
+                raise ValueError(
                     f"size must leave a finite default resolution, got {self.size}"
                 ) from None
             object.__setattr__(self, "resolution", resolution)
-        if not (isinstance(self.resolution, numbers.Integral)
-                and not isinstance(self.resolution, bool) and self.resolution >= 1):
-            raise ConfigError(
-                f"resolution must be an integer at least 1, got {self.resolution!r}"
-            )
-
-
-def default_resolution(kind: str, size: float) -> int:
-    """The resolution a :class:`DomainSpec` of this kind and size resolves to."""
-    return DomainSpec(kind, size).resolution
+        check_count("resolution", self.resolution, 1)
 
 
 def build_domain(spec: DomainSpec) -> SurfaceMesh:
@@ -124,9 +112,9 @@ def generate_square(L: float, n: int) -> SurfaceMesh:
 
     Each of the n x n grid cells is split along its diagonal into two right
     triangles, giving (n+1)^2 nodes and 2 n^2 triangles wound so normals
-    point along +z.  The 4 n perimeter nodes form the boundary.  An edge that
-    is not positive and finite, or an ``n`` that is not an integer >= 1,
-    raises :class:`ConfigError`.
+    point along +z.  The 4 n perimeter nodes form the boundary.  An edge ``L``
+    that is not positive and finite, or an ``n`` that is not an integer >= 1,
+    raises ``ValueError``.
 
     Node ``j (n+1) + i`` sits at ``(i, j)`` on the grid of ticks
     ``linspace(0, L, n+1)``.  Triangle ``j n + i`` is cell ``(i, j)``'s lower
@@ -134,10 +122,8 @@ def generate_square(L: float, n: int) -> SurfaceMesh:
     triangle ``(v00, v11, v01)``.  Both arrays are written in place, one
     column or one corner at a time.
     """
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ConfigError(f"square edge must be positive and finite, got {L}")
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
-        raise ConfigError(f"grid divisions must be an integer at least 1, got {n!r}")
+    check_real("L", L, positive=True)
+    check_count("n", n, 1)
     ticks = np.linspace(0.0, L, n + 1)
     nodes = np.zeros(((n + 1) * (n + 1), 3))
     grid = nodes.reshape(n + 1, n + 1, 3)  # [j, i, coordinate], a view
@@ -160,8 +146,8 @@ def generate_icosphere(R: float, level: int) -> SurfaceMesh:
     midpoint subdivision, projecting every new vertex back onto the sphere.
     Vertex and face counts are 10 * 4**level + 2 and 20 * 4**level; shared
     edge midpoints are deduplicated so the surface stays closed.  A radius
-    that is not positive and finite, or a ``level`` that is not an integer
-    >= 0, raises :class:`ConfigError`.
+    ``R`` that is not positive and finite, or a ``level`` that is not an
+    integer >= 0, raises ``ValueError``.
 
     The 12 icosahedron vertices come first.  Each round keeps every node and
     appends its edge midpoints in ascending undirected code ``lo * n + hi``,
@@ -171,10 +157,8 @@ def generate_icosphere(R: float, level: int) -> SurfaceMesh:
     ``2 m + k`` and ``3 m + k``.  The seeded initial state and every artifact
     depend on this order.
     """
-    if not (R > 0.0 and math.isfinite(R)):
-        raise ConfigError(f"sphere radius must be positive and finite, got {R}")
-    if not (isinstance(level, numbers.Integral) and not isinstance(level, bool) and level >= 0):
-        raise ConfigError(f"subdivision level must be an integer at least 0, got {level!r}")
+    check_real("R", R, positive=True)
+    check_count("level", level, 0)
     nodes = _ICO_VERTS * (R / np.linalg.norm(_ICO_VERTS[0]))
     faces = _ICO_FACES
     for _ in range(level):

@@ -38,7 +38,6 @@ product in a solve then reads fewer entries and adds the same bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -46,7 +45,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .diagnostics import DiagnosticsSeries
-from .errors import DegeneracyStop, NumericsError, SolverConvergenceError
+from .errors import (
+    DegeneracyStop, NumericsError, SolverConvergenceError, check_count, check_real,
+)
 from .kinetics import KineticsParams, eval_f, eval_g
 from .mesh import (
     MeshQuality, StiffnessPattern, SurfaceMesh, assemble_lumped_mass, assemble_stiffness,
@@ -74,22 +75,15 @@ class SolverConfig:
     min_angle_deg: float = 0.5
 
     def __post_init__(self):
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not (self.T >= 0.0 and math.isfinite(self.T)):
-            raise ValueError(f"T must be at least 0, got {self.T}")
-        if not (self.cg_tol > 0.0 and math.isfinite(self.cg_tol)):
-            raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
+        check_real("tau", self.tau, positive=True)
+        check_real("T", self.T, nonnegative=True)
+        check_real("cg_tol", self.cg_tol, positive=True)
         if not math.isfinite(self.T / self.tau):
             raise ValueError(f"T / tau must be a finite number of steps, got {self.T} / {self.tau}")
-        if not (isinstance(self.cg_maxiter, numbers.Integral)
-                and not isinstance(self.cg_maxiter, bool) and self.cg_maxiter >= 1):
-            raise ValueError(f"cg_maxiter must be an integer at least 1, got {self.cg_maxiter!r}")
-        area = self.min_triangle_area
-        if area is not None and not (area > 0.0 and math.isfinite(area)):
-            raise ValueError(f"min_triangle_area must be positive, or auto (None), got {area}")
-        if not (self.min_angle_deg >= 0.0 and math.isfinite(self.min_angle_deg)):
-            raise ValueError(f"min_angle_deg must be at least 0, got {self.min_angle_deg}")
+        check_count("cg_maxiter", self.cg_maxiter, 1)
+        if self.min_triangle_area is not None:  # None is auto
+            check_real("min_triangle_area", self.min_triangle_area, positive=True)
+        check_real("min_angle_deg", self.min_angle_deg, nonnegative=True)
 
     @property
     def n_steps(self) -> int:
@@ -416,8 +410,7 @@ def run(
         a new state with the initial time, mesh nodes and fields.
     """
     _check_state(initial)
-    if not (isinstance(stride, numbers.Integral) and not isinstance(stride, bool) and stride >= 1):
-        raise ValueError(f"sampling stride must be an integer at least 1, got {stride!r}")
+    check_count("stride", stride, 1)
     series = DiagnosticsSeries(evolving=params.kappa != 0.0)
     # an own handle on the same arrays keeps the geometry cache and the pattern off
     # the caller's mesh.  Its pattern is built here, by this module's name, only

@@ -106,6 +106,25 @@ class TestRunCommand:
                 a, b = (re.sub(rb"(?m)^directory = .*\n", b"", text) for text in (a, b))
             assert a == b, name
 
+    def test_rerun_into_the_same_directory_keeps_no_earlier_file(self, tmp_path):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        domain = ("run", "--preset", "4", "--domain.resolution", "1")
+        assert run_main(
+            *domain, "--out", str(reused), "--solver.T", "0.2", "--output.sample_stride", "5",
+            "--output.snapshot_stride", "5", "--output.write_obj", "true",
+        ) == 0
+        assert (reused / "final.obj").exists() and len(list(reused.rglob("step_*.vtk"))) == 5
+        for out in (reused, fresh):
+            assert run_main(*domain, "--out", str(out), "--solver.T", "0.05") == 0
+        names = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+        assert names == sorted(p.relative_to(reused) for p in reused.rglob("*") if p.is_file())
+        assert len(names) == 4  # config, CSV, summary, final VTK: no OBJ, no snapshot
+        for name in names:
+            a, b = (reused / name).read_bytes(), (fresh / name).read_bytes()
+            if name.name == "config.ini":  # only the directory line may differ
+                a, b = (re.sub(rb"(?m)^directory = .*\n", b"", text) for text in (a, b))
+            assert a == b, name
+
     def test_override_equals_form(self, tmp_path):
         out = tmp_path / "artifacts"
         assert run_main(

@@ -3,12 +3,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from esdib import (
     PRESETS, ConfigError, DomainSpec, RunConfig, SolverConfig, dump_config, load_config,
 )
-from esdib.config import OutputConfig, load_domain
+from esdib.config import CONFIG_KEYS, OutputConfig, load_domain
 
 #: the five keys without a package default, with values that complete a
 #: configuration without a preset
@@ -16,6 +17,19 @@ REQUIRED = {
     "domain.kind": "sphere", "domain.size": "2.0",
     "kinetics.B": "30.0", "kinetics.C": "3.0", "solver.T": "1.0",
 }
+
+
+def with_value(cfg, dotted, value):
+    """``cfg`` with the value of ``section.key`` replaced, checked by its owner."""
+    section, key = dotted.split(".")
+    if section == "kinetics":
+        return replace(cfg, **{key: value})
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{key: value})})
+
+
+def value_of(cfg, dotted):
+    section, key = dotted.split(".")
+    return getattr(cfg if section == "kinetics" else getattr(cfg, section), key)
 
 
 def write_ini(path, entries):
@@ -239,20 +253,23 @@ class TestValidation:
             ({"domain.kind": "sphere", "domain.size": "-1"}, "domain.size must be positive"),
             ({"domain.size": "nan"}, "domain.size must be positive"),
             ({"domain.resolution": "0"}, "domain.resolution must be an integer at least 1"),
-            ({"kinetics.amplitude": "-1"}, "kinetics.amplitude must be finite and at least 0"),
-            ({"kinetics.B": "inf"}, "kinetics.B must be finite"),
+            (
+                {"kinetics.amplitude": "-1"},
+                "kinetics.amplitude must be at least 0 and a finite number",
+            ),
+            ({"kinetics.B": "inf"}, "kinetics.B must be a finite number"),
             ({"kinetics.d": "0"}, "kinetics.d must be positive"),
             ({"kinetics.rho": "-1"}, "kinetics.rho must be positive"),
             ({"solver.cg_tol": "0"}, "solver.cg_tol must be positive"),
             ({"solver.cg_maxiter": "0"}, "solver.cg_maxiter must be an integer at least 1"),
             (
                 {"solver.min_triangle_area": "0"},
-                "solver.min_triangle_area must be positive, or auto",
+                "solver.min_triangle_area must be positive and a finite number",
             ),
             ({"solver.min_angle_deg": "-1"}, "solver.min_angle_deg must be at least 0"),
             (
                 {"output.snapshot_stride": "-10"},
-                "output.snapshot_stride must be a multiple of sample_stride",
+                "output.snapshot_stride must be an integer at least 0",
             ),
             ({"output.directory": ""}, "output.directory must not be empty"),
             ({"domain.size": "1e308"}, "domain.size must leave a finite default resolution"),
@@ -335,6 +352,28 @@ class TestDump:
                 cfg = load_config(preset=preset, overrides=overrides)
                 path.write_text(dump_config(cfg))
                 assert load_config(path=str(path)) == cfg, (preset, overrides)
+            cfg = load_config(preset=preset, overrides={"solver.min_triangle_area": "1e-9"})
+            numeric = [
+                dotted for dotted in CONFIG_KEYS
+                if isinstance(value_of(cfg, dotted), (int, float))
+                and not isinstance(value_of(cfg, dotted), bool)
+            ]
+            assert len(numeric) == 17
+            # numpy scalars, as a sweep over np.linspace gives them, write the same text
+            as_numpy = cfg
+            for dotted in numeric:
+                value = value_of(cfg, dotted)
+                as_numpy = with_value(
+                    as_numpy, dotted,
+                    np.int64(value) if isinstance(value, int) else np.float64(value),
+                )
+            assert dump_config(as_numpy) == dump_config(cfg)
+            path.write_text(dump_config(as_numpy))
+            assert load_config(path=str(path)) == as_numpy == cfg, preset
+            # a bool is no number: config.ini would record true, which reads back as none
+            for dotted in numeric:
+                with pytest.raises(ValueError, match=f"^{dotted.split('.')[1]} must"):
+                    with_value(cfg, dotted, True)
 
     @pytest.mark.parametrize("directory", ["runs/#1", "runs/a;b", "my runs/p 4", "a%b"])
     def test_directory_round_trips(self, tmp_path, directory):

@@ -149,5 +149,5 @@ class TestInitialCondition:
 
     def test_negative_amplitude_rejected(self):
         for amplitude in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="finite and >= 0"):
+            with pytest.raises(ValueError, match="amplitude must be at least 0 and a finite number"):
                 initial_condition(self.mesh, self.params, amplitude=amplitude)

@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from esdib import (
-    ConfigError,
-    DomainSpec,
-    build_domain,
-    compute_node_normals,
-    default_resolution,
-    surface_area,
-)
+from esdib import DomainSpec, build_domain, compute_node_normals, surface_area
 from esdib.meshgen import _ICO_FACES, _ICO_VERTS, generate_icosphere, generate_square
 
 
@@ -76,17 +69,17 @@ class TestSquare:
         assert np.array_equal(mesh.boundary_node, on_perimeter)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             generate_square(0.0, 4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             generate_square(-1.0, 4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             generate_square(1.0, 0)
         for edge in (np.inf, np.nan):
-            with pytest.raises(ConfigError, match="square edge must be positive and finite"):
+            with pytest.raises(ValueError, match="L must be positive and a finite number"):
                 generate_square(edge, 4)
         for n in (2.5, 2.0, "2", True):
-            with pytest.raises(ConfigError, match="grid divisions must be an integer"):
+            with pytest.raises(ValueError, match="n must be an integer"):
                 generate_square(1.0, n)
         assert generate_square(1.0, np.int64(2)).n_nodes == 9
 
@@ -231,15 +224,15 @@ class TestIcosphere:
             assert got.tobytes() == want.tobytes()
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             generate_icosphere(0.0, 2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             generate_icosphere(1.0, -1)
         for radius in (np.inf, np.nan):
-            with pytest.raises(ConfigError, match="sphere radius must be positive and finite"):
+            with pytest.raises(ValueError, match="R must be positive and a finite number"):
                 generate_icosphere(radius, 1)
         for level in (2.5, 1.0, "1", True, False):
-            with pytest.raises(ConfigError, match="subdivision level must be an integer"):
+            with pytest.raises(ValueError, match="level must be an integer"):
                 generate_icosphere(1.0, level)
         assert generate_icosphere(1.0, np.int64(0)).n_nodes == 12
 
@@ -257,11 +250,11 @@ class TestDefaults:
         ],
     )
     def test_default_resolution(self, kind, size, expected):
-        assert default_resolution(kind, size) == expected
+        assert DomainSpec(kind, size).resolution == expected
 
     def test_default_resolution_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            default_resolution("torus", 1.0)
+        with pytest.raises(ValueError):
+            DomainSpec("torus", 1.0)
 
 
 class TestDomainSpec:
@@ -277,19 +270,19 @@ class TestDomainSpec:
         assert np.allclose(np.linalg.norm(mesh.nodes, axis=1), 3.0, atol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             DomainSpec("torus", 1.0, 2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             DomainSpec("square", -1.0, 2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             DomainSpec("sphere", float("nan"), 2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             DomainSpec("sphere", 1.0, 0)
         for bad in (2.5, 2.0, "2", True):
-            with pytest.raises(ConfigError, match="resolution must be an integer"):
+            with pytest.raises(ValueError, match="resolution must be an integer"):
                 DomainSpec("square", 2.0, bad)
         for kind in ("square", "sphere"):  # the default resolution overflows
-            with pytest.raises(ConfigError, match="size must leave a finite default resolution"):
+            with pytest.raises(ValueError, match="size must leave a finite default resolution"):
                 DomainSpec(kind, 1e308)
 
     def test_resolution_defaults_to_target_edge(self):

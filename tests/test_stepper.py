@@ -838,6 +838,47 @@ class TestTemporalConvergence:
             assert 0.85 <= order <= 1.15, f"{name}: observed order {order:.3f}"
 
 
+class TestSmallKappaLimit:
+    """On a flat sheet a height of O(kappa) changes metric, mass and stiffness
+    only at O(kappa^2), so a moving run's eta is the frozen run's up to
+    O(kappa^2), and its height is ``kappa tau sum_{n<N} eta_n`` of the frozen
+    run, the explicit-Euler sum, with a relative error of O(kappa^2).  That
+    pins the sign, length and normal of the move and the eta level it uses:
+    moving by eta_{n+1} would leave an error of O(tau), flat in kappa.
+    """
+
+    @staticmethod
+    def final_state(kappa, observers=()):
+        cfg = load_config(preset=1, overrides={
+            "domain.resolution": "40", "kinetics.seed": "0", "kinetics.kappa": kappa,
+            "solver.tau": "0.01", "solver.T": "2", "solver.cg_tol": "1e-12",
+        })
+        mesh = build_domain(cfg.domain)
+        params = cfg.kinetics_params()
+        fields = initial_condition(mesh, params, amplitude=cfg.amplitude, seed=cfg.seed)
+        final, series = run(
+            make_state(mesh, fields.eta, fields.theta), params, cfg.solver,
+            observers=observers, stride=1,
+        )
+        assert not series.stopped and final.step_index == 200
+        return final
+
+    def test_height_is_the_frozen_eta_sum_to_second_order(self):
+        etas = []
+        self.final_state("0", [lambda state, mass: etas.append(state.eta)])
+        eta_sum = 0.01 * np.sum(etas[:-1], axis=0)  # tau times eta_0 + ... + eta_199
+        errors = []
+        for kappa in (0.2, 0.1, 0.05):
+            height = self.final_state(str(kappa)).mesh.nodes[:, 2]
+            expected = kappa * eta_sum
+            errors.append(np.linalg.norm(height - expected) / np.linalg.norm(expected))
+        # measured: 6.752e-4, 1.688e-4 and 4.221e-5, order 2.000 at both halvings
+        assert errors[0] < 7.5e-4, f"relative height error {errors[0]:.3e} at kappa 0.2"
+        for coarse, fine in zip(errors, errors[1:]):
+            order = math.log2(coarse / fine)
+            assert 1.95 <= order <= 2.05, f"observed order {order:.3f} in kappa"
+
+
 class TestDegeneracyStop:
     def shrinking_sphere(self):
         mesh = generate_icosphere(1.0, 1)
