@@ -19,17 +19,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, ModeError
+from .errors import ModeError, check_shape
 
 
 def increment_norm(prev: np.ndarray, curr: np.ndarray) -> float:
     """Euclidean norm of the nodal difference between two snapshots."""
     prev = np.asarray(prev)
     curr = np.asarray(curr)
-    if prev.shape != curr.shape:
-        raise DataError(
-            f"cannot compare snapshots of shapes {prev.shape} and {curr.shape}"
-        )
+    check_shape("curr", curr, prev.shape)
     return float(np.linalg.norm(curr - prev))
 
 
@@ -39,10 +36,7 @@ def mass_weighted_increment_norm(
     """Increment norm weighted by the current lumped mass diagonal (discrete L2)."""
     prev = np.asarray(prev)
     curr = np.asarray(curr)
-    if prev.shape != curr.shape:
-        raise DataError(
-            f"cannot compare snapshots of shapes {prev.shape} and {curr.shape}"
-        )
+    check_shape("curr", curr, prev.shape)
     diff = curr - prev
     return float(np.sqrt(np.dot(mass, diff * diff)))
 
@@ -188,22 +182,22 @@ def area_growth_fit(times, areas) -> AreaGrowthFit:
 
     Raises
     ------
-    DataError
-        Fewer than 10 samples, a time or area that is not finite, times
-        that are all equal (no slope to fit), or a non-positive area value.
+    ValueError
+        ``times`` not 1-d or ``areas`` of another shape, fewer than 10 samples, a time
+        or area that is not finite, times that are all equal (no slope to fit), or an area <= 0.
     """
     t = np.asarray(times, dtype=np.float64)
     a = np.asarray(areas, dtype=np.float64)
-    if t.shape != a.shape or t.ndim != 1:
-        raise DataError("times and areas must be 1-d arrays of equal length")
+    check_shape("times", t, (None,))
+    check_shape("areas", a, t.shape)
     if t.size < 10:
-        raise DataError(f"need at least 10 samples for a growth fit, got {t.size}")
+        raise ValueError(f"times must hold at least 10 samples for a growth fit, got {t.size}")
     if not (np.isfinite(t).all() and np.isfinite(a).all()):
-        raise DataError("times and areas must be finite")
+        raise ValueError("times and areas must be finite")
     if t.min() == t.max():
-        raise DataError(f"times must vary for a growth fit, all are {float(t[0])}")
+        raise ValueError(f"times must vary for a growth fit, all are {float(t[0])}")
     if a.min() <= 0.0:
-        raise DataError("areas must be positive for an exponential fit")
+        raise ValueError("areas must be positive for an exponential fit")
     log_a = np.log(a)
     slope, intercept = np.polyfit(t, log_a, 1)
     fitted = slope * t + intercept

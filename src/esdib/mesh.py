@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import DegenerateGeometryError, MeshStructureError, NumericsError
+from .errors import DegenerateGeometryError, MeshStructureError, NumericsError, check_shape
 
 
 class SurfaceMesh:
@@ -76,6 +76,8 @@ class SurfaceMesh:
 
     Raises
     ------
+    ValueError
+        ``nodes`` or ``triangles`` not of shape ``(any, 3)``.
     MeshStructureError
         No triangles, an index that is not an integer or is out of range, an
         edge traversed twice in the same direction (inconsistent winding or
@@ -93,10 +95,8 @@ class SurfaceMesh:
         # copies, so that the arrays frozen below are the mesh's own, never the caller's
         nodes = np.array(nodes, dtype=np.float64, order="C")
         triangles = np.asarray(triangles)
-        if nodes.ndim != 2 or nodes.shape[1] != 3:
-            raise MeshStructureError(f"nodes must have shape (n, 3), got {nodes.shape}")
-        if triangles.ndim != 2 or triangles.shape[1] != 3:
-            raise MeshStructureError(f"triangles must have shape (m, 3), got {triangles.shape}")
+        check_shape("nodes", nodes, (None, 3))
+        check_shape("triangles", triangles, (None, 3))
         if triangles.shape[0] == 0:
             raise MeshStructureError("a surface mesh needs at least one triangle")
         if not np.isfinite(nodes).all():
@@ -484,14 +484,13 @@ def displace_nodes(mesh: SurfaceMesh, displacement) -> SurfaceMesh:
 
     Raises
     ------
+    ValueError
+        A displacement of another shape than ``mesh.nodes``.
     NumericsError
         Displacement contains a non-finite entry (names the first bad node).
     """
     disp = np.asarray(displacement, dtype=np.float64)
-    if disp.shape != mesh.nodes.shape:
-        raise MeshStructureError(
-            f"displacement shape {disp.shape} does not match nodes {mesh.nodes.shape}"
-        )
+    check_shape("displacement", disp, mesh.nodes.shape)
     if not np.isfinite(disp).all():
         bad = int(np.flatnonzero(~np.isfinite(disp).all(axis=1))[0])
         raise NumericsError(f"non-finite displacement at node {bad}")

@@ -46,7 +46,7 @@ from scipy.sparse import csr_matrix
 
 from .diagnostics import DiagnosticsSeries
 from .errors import (
-    DegeneracyStop, NumericsError, SolverConvergenceError, check_count, check_real,
+    DegeneracyStop, NumericsError, SolverConvergenceError, check_count, check_real, check_shape,
 )
 from .kinetics import KineticsParams, eval_f, eval_g
 from .mesh import (
@@ -154,9 +154,9 @@ def solve_spd(
         final relative residual.
     NumericsError
         Non-finite right-hand side, a matrix diagonal entry that is not
-        positive (NaN included), or a residual norm that is not finite after
-        an iteration (a NaN or infinite matrix entry, say), raised at that
-        iteration.
+        positive (NaN included), or, raised at that iteration, a search
+        direction with ``p . A p <= 0`` (the matrix is not positive definite)
+        or a residual norm that is not finite (a NaN or infinite entry, say).
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     bnorm = float(np.linalg.norm(rhs))
@@ -190,7 +190,11 @@ def solve_spd(
     rz = float(np.dot(r, z))
     for iteration in range(1, maxiter + 1):
         Ap = A @ p
-        alpha = rz / float(np.dot(p, Ap))
+        pAp = float(np.dot(p, Ap))
+        if pAp <= 0.0:  # a NaN passes on to the residual check below
+            raise NumericsError(f"conjugate gradients broke down: p . A p = {pAp} at "
+                                f"iteration {iteration}, the matrix is not positive definite")
+        alpha = rz / pAp
         x += np.multiply(p, alpha, out=scaled)
         r -= np.multiply(Ap, alpha, out=scaled)
         if callback is not None:
@@ -371,15 +375,10 @@ def step(state: SimState, params: KineticsParams, cfg: SolverConfig) -> SimState
 
 def _check_state(state: SimState) -> None:
     n = state.mesh.n_nodes
-    levels = [("field", state.eta, state.theta)]
-    levels += [(f"history level {k}", eta, theta)
-               for k, (eta, theta) in enumerate(state.history)]
-    for label, eta, theta in levels:
-        if np.shape(eta) != (n,) or np.shape(theta) != (n,):
-            raise ValueError(
-                f"{label} shapes {np.shape(eta)}, {np.shape(theta)} do not match "
-                f"the mesh ({n} nodes)"
-            )
+    for k, (eta, theta) in enumerate([(state.eta, state.theta), *state.history]):
+        label = f"history level {k - 1} " if k else ""
+        check_shape(f"{label}eta", eta, (n,))
+        check_shape(f"{label}theta", theta, (n,))
 
 
 def run(

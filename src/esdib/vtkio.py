@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_shape
 from .mesh import SurfaceMesh
 
 _TRIANGLE_CELL_TYPE = 5
@@ -49,23 +49,18 @@ def write_vtk(path, mesh: SurfaceMesh, point_data=None, title="surface snapshot"
     Raises
     ------
     ValueError
-        A field name that is empty, holds whitespace or is not printable
-        ASCII, or a title that holds a line break: :func:`read_vtk` could
-        not read either back.
-    DataError
-        A field of the wrong shape.
+        A field of another shape than ``(n_nodes,)``, a field name that is
+        empty, holds whitespace or is not printable ASCII, or a title that
+        holds a line break: :func:`read_vtk` could not read the last two back.
     """
     point_data = {} if point_data is None else point_data
     if "\n" in title or "\r" in title:
-        raise ValueError(f"VTK title {title!r} must fit on one line")
+        raise ValueError(f"title {title!r} must fit on one line")
     n = mesh.n_nodes
     for name, values in point_data.items():
         if not (name.isascii() and name.isprintable() and name.split() == [name]):
-            raise ValueError(f"VTK field name {name!r} must be one word of printable ASCII")
-        if np.shape(values) != (n,):
-            raise DataError(
-                f"field {name!r} has shape {np.shape(values)}, expected ({n},)"
-            )
+            raise ValueError(f"point_data field name {name!r} must be one word of printable ASCII")
+        check_shape(f"point_data field {name!r}", values, (n,))
     m = len(mesh.triangles)
     cells = np.empty((m, 4), _INT)
     cells[:, 0] = 3

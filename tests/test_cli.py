@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import esdib.cli
+import esdib.verify
 from esdib import SurfaceMesh, read_vtk
 from esdib.cli import main
 from esdib.config import CONFIG_KEYS, dump_config, load_config, load_domain
@@ -407,6 +408,19 @@ class TestVerifyCommand:
         assert len(lines) >= 7
         assert all(l.startswith("ok  ") for l in lines)
         assert "checks passed" in out
+
+    def test_a_crashing_check_fails_and_the_others_still_run(self, monkeypatch):
+        def crash():
+            raise RuntimeError("boom")
+
+        checks = list(esdib.verify._CHECKS)
+        checks[2] = crash
+        monkeypatch.setattr(esdib.verify, "_CHECKS", tuple(checks))
+        results = esdib.verify.run_verification()
+        assert len(results) == len(checks)
+        assert results[2].name == "crash" and not results[2].passed
+        assert results[2].detail.startswith("raised") and "boom" in results[2].detail
+        assert all(r.passed for i, r in enumerate(results) if i != 2)
 
     def test_stray_argument_rejected(self, capsys):
         assert run_main("verify", "--bogus") == 2

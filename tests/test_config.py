@@ -374,6 +374,14 @@ class TestDump:
             for dotted in numeric:
                 with pytest.raises(ValueError, match=f"^{dotted.split('.')[1]} must"):
                     with_value(cfg, dotted, True)
+            # a numpy float of another precision would run in it, while config.ini
+            # records the float64 decimal, so the rerun would differ
+            for dotted in numeric:
+                if isinstance(value_of(cfg, dotted), int):
+                    continue
+                for precision in (np.float32, np.float16, np.longdouble):
+                    with pytest.raises(ValueError, match=f"^{dotted.split('.')[1]} must"):
+                        with_value(cfg, dotted, precision(value_of(cfg, dotted)))
 
     @pytest.mark.parametrize("directory", ["runs/#1", "runs/a;b", "my runs/p 4", "a%b"])
     def test_directory_round_trips(self, tmp_path, directory):

@@ -46,6 +46,24 @@ class TestConstruction:
         assert np.array_equal(mesh.nodes[0], [0.0, 0.0, 0.0])
         assert np.array_equal(mesh.triangles[0], [0, 1, 2])
 
+    @pytest.mark.parametrize(
+        "nodes,triangles,message",
+        [
+            (np.zeros((3, 2)), [[0, 1, 2]], r"^nodes must have shape \(any, 3\), got \(3, 2\)$"),
+            (np.zeros(9), [[0, 1, 2]], r"^nodes must have shape \(any, 3\), got \(9,\)$"),
+            (np.eye(3), [0, 1, 2], r"^triangles must have shape \(any, 3\), got \(3,\)$"),
+            (np.eye(3), [[0, 1, 2, 0]], r"^triangles must have shape \(any, 3\), got \(1, 4\)$"),
+        ],
+        ids=["nodes-2-columns", "nodes-1-d", "triangles-1-d", "triangles-4-columns"],
+    )
+    def test_wrong_shape_rejected(self, nodes, triangles, message):
+        with pytest.raises(ValueError, match=message):
+            SurfaceMesh(nodes, triangles)
+
+    def test_repr(self):
+        assert repr(generate_square(1.0, 2)) == "SurfaceMesh(9 nodes, 8 triangles, open)"
+        assert repr(generate_icosphere(1.0, 0)) == "SurfaceMesh(12 nodes, 20 triangles, closed)"
+
     @pytest.mark.parametrize("n_nodes", [0, 3])
     def test_no_triangles_rejected(self, n_nodes):
         with pytest.raises(MeshStructureError, match="at least one triangle"):
@@ -349,7 +367,7 @@ class TestDisplacement:
         assert np.array_equal(back.nodes, mesh.nodes)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(MeshStructureError, match="shape"):
+        with pytest.raises(ValueError, match="shape"):
             displace_nodes(generate_square(1.0, 2), np.zeros((3, 3)))
 
     def test_non_finite_displacement_names_node(self):

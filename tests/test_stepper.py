@@ -124,6 +124,12 @@ class TestSolveSpd:
                     assert len(iterations) == count
                     assert np.array_equal(x, expected)
 
+    def test_singular_system_is_a_numerics_error(self):
+        # p = (1, -1) lies in the kernel, so p . A p is exactly 0 at the first iteration
+        A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(NumericsError, match="iteration 1, the matrix is not positive definite"):
+            solve_spd(A, np.array([1.0, -1.0]))
+
     def test_diagonal_system_exact_in_one_iteration(self):
         diag = np.array([2.0, 3.0, 4.0, 5.0, 0.5])
         A = sp.diags(diag).tocsr()

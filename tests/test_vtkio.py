@@ -153,7 +153,7 @@ class TestWriteVtk:
         assert a.read_bytes() == b.read_bytes()
 
     def test_wrong_field_shape_rejected(self, tmp_path, small_mesh):
-        with pytest.raises(DataError, match="eta"):
+        with pytest.raises(ValueError, match="eta"):
             write_vtk(tmp_path / "bad.vtk", small_mesh, point_data={"eta": np.zeros(5)})
 
 
