@@ -14,7 +14,6 @@ import os
 import numpy as np
 
 from esdib import (
-    SimState,
     SolverConfig,
     default_params,
     export_mesh_snapshot,
@@ -29,8 +28,7 @@ os.makedirs(out_dir, exist_ok=True)
 # a 5 x 5 sheet fits a couple of pattern wavelengths and settles within T = 100
 mesh = generate_square(5.0, 25)
 params = default_params(B=30.0, C=3.0, rho=2.0, kappa=0.0)
-fields = initial_condition(mesh, params, seed=5)
-state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
+state = initial_condition(mesh, params, seed=5)
 
 print(f"flat sheet: {mesh.n_nodes} nodes, {mesh.n_triangles} triangles")
 print("integrating to T = 100 on the frozen surface ...")

@@ -13,7 +13,6 @@ Runtime: a few seconds.
 import os
 
 from esdib import (
-    SimState,
     SolverConfig,
     area_growth_fit,
     default_params,
@@ -29,8 +28,7 @@ os.makedirs(snap_dir, exist_ok=True)
 
 mesh = generate_icosphere(3.0, 4)
 params = default_params(B=30.0, C=3.0, rho=2.0, kappa=0.2)
-fields = initial_condition(mesh, params, seed=7)
-state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
+state = initial_condition(mesh, params, seed=7)
 
 print(f"icosphere: {mesh.n_nodes} nodes, radius 3.0")
 

@@ -10,13 +10,12 @@ spheres.
 
 Typical use::
 
-    from esdib import (SimState, SolverConfig, default_params, build_domain,
-                       DomainSpec, initial_condition, run)
+    from esdib import (SolverConfig, default_params, build_domain, DomainSpec,
+                       initial_condition, run)
 
     mesh = build_domain(DomainSpec("sphere", 3.0))  # default resolution: level 4
     params = default_params(B=30.0, C=3.0, rho=2.0)
-    fields = initial_condition(mesh, params, seed=1)
-    state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
+    state = initial_condition(mesh, params, seed=1)  # a SimState at t = 0
     final, series = run(state, params, SolverConfig(tau=1e-2, T=12.0))
 """
 
@@ -49,13 +48,11 @@ from .diagnostics import (
     mass_weighted_increment_norm,
 )
 from .kinetics import (
-    FieldPair,
     KineticsParams,
     default_params,
     equilibrium_D,
     eval_f,
     eval_g,
-    initial_condition,
 )
 from .mesh import (
     MeshQuality,
@@ -76,7 +73,7 @@ from .meshgen import (
     generate_icosphere,
     generate_square,
 )
-from .stepper import SimState, SolverConfig, run, solve_spd, step
+from .stepper import SimState, SolverConfig, initial_condition, run, solve_spd, step
 from .vtkio import export_mesh_snapshot, read_vtk, write_obj, write_vtk
 
 __version__ = "0.1.0"
@@ -91,7 +88,6 @@ __all__ = [
     "DiagnosticsSeries",
     "DomainSpec",
     "EsdibError",
-    "FieldPair",
     "KineticsParams",
     "MeshQuality",
     "MeshStructureError",

@@ -31,9 +31,8 @@ from pathlib import Path
 
 from .config import CONFIG_KEYS, RunConfig, dump_config, load_config, load_domain
 from .errors import ConfigError, EsdibError
-from .kinetics import initial_condition
 from .meshgen import build_domain
-from .stepper import SimState, run
+from .stepper import initial_condition, run
 from .vtkio import export_mesh_snapshot, write_obj, write_vtk
 
 EXIT_OK = 0
@@ -103,11 +102,10 @@ def run_from_config(cfg: RunConfig) -> tuple[int, str]:
 
     mesh = build_domain(cfg.domain)
     params = cfg.kinetics_params()
-    fields = initial_condition(
+    state = initial_condition(
         mesh, params, amplitude=cfg.amplitude, seed=cfg.seed,
         shared_noise=cfg.shared_noise,
     )
-    state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
 
     observers = []
     if cfg.output.snapshot_stride > 0:

@@ -17,7 +17,7 @@ A configuration is resolved from four layers of text, each overriding the one
 before: the package defaults, the preset, the config file, then command-line
 overrides.  The package defaults are the keyword defaults of
 :func:`~esdib.kinetics.default_params` and
-:func:`~esdib.kinetics.initial_condition` and the field defaults of
+:func:`~esdib.stepper.initial_condition` and the field defaults of
 :class:`~esdib.stepper.SolverConfig` (except the required ``T``) and
 :class:`OutputConfig`; a preset, one entry of :data:`PRESETS`, is a layer of
 text that sets kind, size, B, C, rho and T.  The merged layers are converted
@@ -43,14 +43,15 @@ from __future__ import annotations
 
 import configparser
 import inspect
+import numbers
 import os
 import re
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, check_count, check_real
-from .kinetics import KineticsParams, default_params, initial_condition
+from .kinetics import KineticsParams, default_params
 from .meshgen import DomainSpec
-from .stepper import SolverConfig
+from .stepper import SolverConfig, initial_condition
 
 
 def _converter(convert, what: str):
@@ -236,8 +237,9 @@ def _merge(path, preset, overrides) -> dict[str, dict[str, str]]:
     """Defaults < preset < config file < overrides, as one section -> key -> text table."""
     raw = {section: dict(_DEFAULTS.get(section, {})) for section in _SCHEMA}
     if preset is not None:
-        # True == 1 and 4.0 == 4 would find a preset by value
-        if isinstance(preset, bool) or not isinstance(preset, int) or preset not in PRESETS:
+        # True == 1 and 4.0 == 4 would find a preset by value; np.int64(4) is an integer
+        if (isinstance(preset, bool) or not isinstance(preset, numbers.Integral)
+                or preset not in PRESETS):
             raise ConfigError(f"unknown preset {preset!r}; valid ids are {sorted(PRESETS)}")
         for section, entries in PRESETS[preset].items():
             raw[section].update(entries)
@@ -288,15 +290,15 @@ def load_config(path=None, preset=None, overrides=None) -> RunConfig:
     path : str, optional
         INI config file; its values override the preset.
     preset : int, optional
-        Canonical experiment id (1 to 6): the :data:`PRESETS` layer that
-        supplies kind, size, B, C, rho and T.
+        Canonical experiment id (1 to 6), a Python or numpy integer: the
+        :data:`PRESETS` layer that supplies kind, size, B, C, rho and T.
     overrides : dict, optional
         Dotted ``section.key`` strings mapping to raw values, applied last.
 
     Raises
     ------
     ConfigError
-        Unknown preset id (not an ``int`` key of :data:`PRESETS`; a bool
+        Unknown preset id (not an integer key of :data:`PRESETS`; a bool
         is not one), missing file, parse errors (with line numbers),
         unknown keys, then, in schema order, text that does not convert or a
         missing required key, then invalid values in the order domain,

@@ -37,12 +37,14 @@ def mass_weighted_increment_norm(
     prev = np.asarray(prev)
     curr = np.asarray(curr)
     check_shape("curr", curr, prev.shape)
+    check_shape("mass", mass, prev.shape)
     diff = curr - prev
     return float(np.sqrt(np.dot(mass, diff * diff)))
 
 
 def mass_integral(mass: np.ndarray, values: np.ndarray) -> float:
     """Discrete surface integral: lumped mass diagonal dotted with nodal values."""
+    check_shape("mass", mass, np.shape(values))
     return float(np.dot(mass, values))
 
 

@@ -1,4 +1,4 @@
-"""Morphochemical reaction kinetics and initial data.
+"""Morphochemical reaction kinetics: the model's constants and source terms.
 
 The model couples two scalar fields on the growing deposit surface: eta, the
 morphology variable that doubles as the local growth rate of the surface, and
@@ -14,7 +14,7 @@ desorption coefficient D is tied to the other constants by
 
     D = C (1 - alpha)(1 - gamma + gamma alpha) / (alpha (1 + gamma alpha)).
 
-Simulations start from that equilibrium plus small uniform noise.
+Runs start there, plus small noise: :func:`esdib.stepper.initial_condition`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_real
-from .mesh import SurfaceMesh
 
 
 @dataclass(frozen=True)
@@ -112,35 +111,3 @@ def eval_g(eta, theta, p: KineticsParams):
     )
     desorption = p.D * (1.0 + p.k3 * eta) * theta * (1.0 + p.gamma * theta)
     return adsorption - desorption
-
-
-@dataclass
-class FieldPair:
-    """Nodal coefficient vectors of the two fields."""
-
-    eta: np.ndarray
-    theta: np.ndarray
-
-
-def initial_condition(
-    mesh: SurfaceMesh,
-    params: KineticsParams,
-    amplitude: float = 1e-4,
-    seed: int = 0,
-    shared_noise: bool = False,
-) -> FieldPair:
-    """Uniform equilibrium (0, alpha) perturbed by seeded uniform noise.
-
-    Each field receives ``amplitude * r`` with ``r`` drawn i.i.d. from
-    U(-1, 1) per node; ``shared_noise=True`` reuses the same draw for both
-    fields.  Identical seeds reproduce identical fields bit for bit.  An
-    ``amplitude`` that is negative, NaN or infinite raises ``ValueError``.
-    """
-    check_real("amplitude", amplitude, nonnegative=True)
-    rng = np.random.default_rng(seed)
-    r_eta = rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    r_theta = r_eta if shared_noise else rng.uniform(-1.0, 1.0, mesh.n_nodes)
-    return FieldPair(
-        eta=amplitude * r_eta,
-        theta=params.alpha + amplitude * r_theta,
-    )

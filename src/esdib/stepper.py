@@ -33,13 +33,16 @@ systems' exact zeros with scipy's ``eliminate_zeros``, on copies of the
 structure they share with the mesh's pattern.  Such zeros are the weights of
 the diagonals that split :func:`~esdib.meshgen.generate_square`'s cells: each
 product in a solve then reads fewer entries and adds the same bits.
+
+A run starts from :func:`initial_condition`, the :class:`SimState` at ``t = 0``
+that holds the kinetics' uniform equilibrium (0, alpha) plus seeded noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -119,6 +122,23 @@ class SimState:
     history: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
 
+def initial_condition(mesh: SurfaceMesh, params: KineticsParams, amplitude: float = 1e-4,
+                      seed: int = 0, shared_noise: bool = False) -> SimState:
+    """The state on ``mesh`` at ``t = 0.0``, step 0, with no history, that a run starts from.
+
+    Its fields are the uniform equilibrium (0, alpha) plus ``amplitude * r``,
+    with ``r`` drawn i.i.d. from U(-1, 1) per node and field;
+    ``shared_noise=True`` reuses eta's draw for theta.  Identical seeds
+    reproduce identical fields bit for bit.  An ``amplitude`` that is
+    negative, NaN or infinite raises ``ValueError``.
+    """
+    check_real("amplitude", amplitude, nonnegative=True)
+    rng = np.random.default_rng(seed)
+    r_eta = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+    r_theta = r_eta if shared_noise else rng.uniform(-1.0, 1.0, mesh.n_nodes)
+    return SimState(0.0, mesh, amplitude * r_eta, params.alpha + amplitude * r_theta)
+
+
 def solve_spd(
     A: csr_matrix,
     rhs: np.ndarray,
@@ -149,6 +169,8 @@ def solve_spd(
 
     Raises
     ------
+    ValueError
+        ``rhs``, or a given ``x0``, ``guess`` or ``diag``, not of shape ``(A.shape[0],)``.
     SolverConvergenceError
         Tolerance not reached within ``maxiter`` iterations; carries the
         final relative residual.
@@ -159,6 +181,9 @@ def solve_spd(
         or a residual norm that is not finite (a NaN or infinite entry, say).
     """
     rhs = np.asarray(rhs, dtype=np.float64)
+    for name, vector in (("rhs", rhs), ("x0", x0), ("guess", guess), ("diag", diag)):
+        if vector is not None:
+            check_shape(name, vector, A.shape[:1])
     bnorm = float(np.linalg.norm(rhs))
     if not math.isfinite(bnorm):
         raise NumericsError("right-hand side contains non-finite values")
@@ -377,15 +402,17 @@ def _check_state(state: SimState) -> None:
     n = state.mesh.n_nodes
     for k, (eta, theta) in enumerate([(state.eta, state.theta), *state.history]):
         label = f"history level {k - 1} " if k else ""
-        check_shape(f"{label}eta", eta, (n,))
-        check_shape(f"{label}theta", theta, (n,))
+        for name, field in ((f"{label}eta", eta), (f"{label}theta", theta)):
+            if not isinstance(field, np.ndarray):
+                raise ValueError(f"{name} must be a numpy array, got {type(field).__name__}")
+            check_shape(name, field, (n,))
 
 
 def run(
     initial: SimState,
     params: KineticsParams,
     cfg: SolverConfig,
-    observers: Sequence[Callable[[SimState, np.ndarray], None]] = (),
+    observers: Iterable[Callable[[SimState, np.ndarray], None]] = (),
     stride: int = 10,
 ) -> tuple[SimState, DiagnosticsSeries]:
     """Advance the initial state by the time span ``cfg.T``, sampling diagnostics.
@@ -397,9 +424,10 @@ def run(
     ``initial.mesh`` with its own pattern, which every mesh of the run shares.
     Samples of the chain's ``(state, mass, quality)`` are recorded at step 0,
     every ``stride`` steps (an integer, at least 1), and at the final step;
-    observers are called at each sample with the state and the current lumped
-    mass diagonal.  A degeneracy stop ends the run cleanly: the last valid
-    state is sampled once, returned, and the series is flagged as stopped.
+    observers, taken once from any iterable, are called at each sample with
+    the state and the current lumped mass diagonal.  A degeneracy stop ends
+    the run cleanly: the last valid state is sampled once, returned, and the
+    series is flagged as stopped.
 
     Returns
     -------
@@ -410,7 +438,14 @@ def run(
     """
     _check_state(initial)
     check_count("stride", stride, 1)
+    observers = tuple(observers)
     series = DiagnosticsSeries(evolving=params.kappa != 0.0)
+
+    def take(sample: tuple[SimState, np.ndarray, MeshQuality]) -> None:
+        series.record(*sample)
+        for obs in observers:
+            obs(*sample[:2])
+
     # an own handle on the same arrays keeps the geometry cache and the pattern off
     # the caller's mesh.  Its pattern is built here, by this module's name, only
     # because bench/tracing.py rebinds that name to time the build; once the chain
@@ -424,13 +459,9 @@ def run(
         # the range comes first, so zip asks the chain for no step past the last
         for k, sample in zip(range(cfg.n_steps + 1), chain):
             if k % stride == 0:
-                series.record(*sample)
-                for obs in observers:
-                    obs(*sample[:2])
+                take(sample)
     except DegeneracyStop as stop:
         series.mark_stopped(str(stop))
     if k % stride != 0:  # the last state, final or last valid, unless a stride sampled it
-        series.record(*sample)
-        for obs in observers:
-            obs(*sample[:2])
+        take(sample)
     return sample[0], series

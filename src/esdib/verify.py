@@ -21,13 +21,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsSeries, mass_integral
-from .kinetics import KineticsParams, default_params, initial_condition
+from .kinetics import KineticsParams, default_params
 from .mesh import (
     SurfaceMesh, assemble_lumped_mass, assemble_stiffness, compute_node_normals,
     mesh_quality, surface_area,
 )
 from .meshgen import generate_icosphere, generate_square
-from .stepper import SimState, SolverConfig, run, step
+from .stepper import SimState, SolverConfig, initial_condition, run, step
 
 
 @dataclass
@@ -189,8 +189,7 @@ def _check_heat_decay() -> CheckResult:
 def _check_stationary_equivalence() -> CheckResult:
     mesh = generate_square(5.0, 16)
     params = default_params(30.0, 3.0, rho=2.0, kappa=0.0)
-    fields = initial_condition(mesh, params, seed=11)
-    state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
+    state = initial_condition(mesh, params, seed=11)
     cfg = SolverConfig(tau=1e-2, T=0.3)
     stride = 5
     final_a, series_a = run(state, params, cfg, stride=stride)

@@ -49,7 +49,8 @@ def write_vtk(path, mesh: SurfaceMesh, point_data=None, title="surface snapshot"
     Raises
     ------
     ValueError
-        A field of another shape than ``(n_nodes,)``, a field name that is
+        A field of another shape than ``(n_nodes,)`` or that does not hold
+        real numbers (bool, integer or float), a field name that is
         empty, holds whitespace or is not printable ASCII, or a title that
         holds a line break: :func:`read_vtk` could not read the last two back.
     """
@@ -61,6 +62,9 @@ def write_vtk(path, mesh: SurfaceMesh, point_data=None, title="surface snapshot"
         if not (name.isascii() and name.isprintable() and name.split() == [name]):
             raise ValueError(f"point_data field name {name!r} must be one word of printable ASCII")
         check_shape(f"point_data field {name!r}", values, (n,))
+        dtype = np.asarray(values).dtype
+        if dtype.kind not in "biuf":  # bool, integer or float; complex would lose a part
+            raise ValueError(f"point_data field {name!r} must hold real numbers, got {dtype}")
     m = len(mesh.triangles)
     cells = np.empty((m, 4), _INT)
     cells[:, 0] = 3

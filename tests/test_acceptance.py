@@ -188,8 +188,7 @@ def test_criterion_8_turing_amplification(preset_id):
         DomainSpec(preset.domain.kind, preset.domain.size, resolution)
     )
     params = default_params(B=preset.B, C=preset.C, rho=preset.rho)
-    fields = initial_condition(mesh, params, seed=42)
-    state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
+    state = initial_condition(mesh, params, seed=42)
     cfg = SolverConfig(tau=1e-2, T=min(preset.solver.T, 10.0))
     final, series = run(state, params, cfg, stride=10)
 

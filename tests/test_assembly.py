@@ -8,7 +8,6 @@ import pytest
 from esdib import (
     DegenerateGeometryError,
     MeshStructureError,
-    SimState,
     SolverConfig,
     StiffnessPattern,
     SurfaceMesh,
@@ -389,8 +388,7 @@ class TestCachedGeometry:
 
         monkeypatch.setattr(stepper, "assemble_stiffness", capturing)
         params = default_params(B=30.0, C=3.0, rho=2.0, kappa=0.2)
-        fields = initial_condition(bumpy_square, params, amplitude=0.5, seed=2)
-        state = SimState(t=0.0, mesh=bumpy_square, eta=fields.eta, theta=fields.theta)
+        state = initial_condition(bumpy_square, params, amplitude=0.5, seed=2)
         after = step(state, params, SolverConfig(tau=1e-2, T=1e-2))
         [(mesh, data)] = assembled
         assert mesh is after.mesh and mesh is not bumpy_square

@@ -181,6 +181,12 @@ class TestValidation:
             with pytest.raises(ConfigError, match=r"unknown preset .*\[1, 2, 3, 4, 5, 6\]"):
                 load_domain(preset)
 
+    def test_numpy_integer_preset(self):
+        # an id is an integer of any kind, as every count of the config is
+        for preset in (np.int64(1), np.int32(1), np.uint8(1)):
+            assert load_config(preset=preset) == load_config(preset=1)
+        assert load_domain(np.int64(4)) == load_domain(4)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config(path="/nonexistent/run.ini")

@@ -28,8 +28,7 @@ from esdib.meshgen import generate_icosphere, generate_square
 def small_run(T=0.1, stride=2, kappa=0.0, n=6, seed=1, observers=()):
     mesh = generate_square(2.0, n)
     params = default_params(B=30.0, C=3.0, rho=2.0, kappa=kappa)
-    fields = initial_condition(mesh, params, seed=seed)
-    state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
+    state = initial_condition(mesh, params, seed=seed)
     cfg = SolverConfig(tau=1e-2, T=T)
     return run(state, params, cfg, observers=observers, stride=stride)
 
@@ -72,6 +71,11 @@ class TestIncrementNorms:
         with pytest.raises(ValueError):
             mass_weighted_increment_norm(mass, np.zeros(3), np.zeros(4))
 
+    def test_mass_of_wrong_length_rejected(self):
+        # numpy's own message, "shapes (3,) and (4,) not aligned", names no argument
+        with pytest.raises(ValueError, match=r"^mass must have shape \(4,\), got \(3,\)"):
+            mass_weighted_increment_norm(np.ones(3), np.zeros(4), np.ones(4))
+
 
 class TestMassIntegral:
     def test_constant_on_sphere(self):
@@ -79,6 +83,10 @@ class TestMassIntegral:
         mass = assemble_lumped_mass(mesh)
         integral = mass_integral(mass, np.full(mesh.n_nodes, 0.5))
         assert integral == pytest.approx(2.0 * math.pi, rel=5e-3)
+
+    def test_mass_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^mass must have shape \(4,\), got \(3,\)"):
+            mass_integral(np.ones(3), np.ones(4))
 
     def test_linearity(self):
         mesh = generate_square(2.0, 5)
@@ -260,8 +268,7 @@ class TestSteadyStatePattern:
     def test_frozen_square_reaches_a_patterned_steady_state(self):
         mesh = generate_square(5.0, 24)
         params = default_params(B=30.0, C=3.0, rho=2.0, kappa=0.0)
-        fields = initial_condition(mesh, params, seed=5)
-        state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
+        state = initial_condition(mesh, params, seed=5)
         cfg = SolverConfig(tau=1e-2, T=100.0)
         final, series = run(state, params, cfg, stride=10)
         assert not series.stopped

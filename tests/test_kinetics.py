@@ -5,6 +5,7 @@ import pytest
 
 from esdib import (
     KineticsParams,
+    SimState,
     default_params,
     equilibrium_D,
     eval_f,
@@ -113,6 +114,17 @@ class TestInitialCondition:
     def setup_method(self):
         self.mesh = generate_square(2.0, 6)
         self.params = default_params(B=30.0, C=3.0)
+
+    def test_returns_the_start_state(self):
+        state = initial_condition(self.mesh, self.params, seed=3)
+        assert type(state) is SimState
+        assert (state.t, state.step_index, state.history) == (0.0, 0, ())
+        assert state.mesh is self.mesh
+        # the draws: eta's first, then theta's, each U(-1, 1) per node
+        rng = np.random.default_rng(3)
+        n = self.mesh.n_nodes
+        assert np.array_equal(state.eta, 1e-4 * rng.uniform(-1.0, 1.0, n))
+        assert np.array_equal(state.theta, self.params.alpha + 1e-4 * rng.uniform(-1.0, 1.0, n))
 
     def test_shapes_and_bounds(self):
         fields = initial_condition(self.mesh, self.params, amplitude=1e-4, seed=0)

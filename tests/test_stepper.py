@@ -246,6 +246,14 @@ class TestSolveSpd:
         assert not isinstance(exc.value, SolverConvergenceError)
         assert 1 <= len(iterates) <= 2
 
+    @pytest.mark.parametrize("name", ["rhs", "x0", "guess", "diag"])
+    def test_vector_of_wrong_length_rejected(self, name):
+        # numpy alone would fail later, on a broadcast or a product, naming no argument
+        A = sp.identity(3, format="csr")
+        args = {"rhs": np.ones(3), name: np.ones(2)}
+        with pytest.raises(ValueError, match=rf"^{name} must have shape \(3,\), got \(2,\)"):
+            solve_spd(A, **args)
+
     def test_non_finite_rhs_rejected(self):
         A = sp.identity(3, format="csr")
         with pytest.raises(NumericsError):
@@ -318,8 +326,7 @@ class TestSingleStep:
     def test_time_and_index_advance(self):
         mesh = generate_square(1.0, 4)
         params = default_params(B=30.0, C=3.0, kappa=0.0)
-        fields = initial_condition(mesh, params, seed=0)
-        state = make_state(mesh, fields.eta, fields.theta)
+        state = initial_condition(mesh, params, seed=0)
         new = step(state, params, SolverConfig(tau=0.25, T=0.25))
         assert new.t == 0.25
         assert new.step_index == 1
@@ -331,8 +338,7 @@ class TestSingleStep:
         # chain of single steps builds it once, not once per step
         mesh = generate_square(2.0, 8)
         params = default_params(B=30.0, C=3.0, rho=2.0, kappa=kappa)
-        fields = initial_condition(mesh, params, seed=1)
-        state = make_state(mesh, fields.eta, fields.theta)
+        state = initial_condition(mesh, params, seed=1)
         built = count_pattern_builds(monkeypatch)
         for _ in range(5):
             state = step(state, params, SolverConfig(tau=1e-2, T=1.0))
@@ -361,6 +367,26 @@ class TestSingleStep:
                 step(state, params, SolverConfig())
             with pytest.raises(ValueError, match="history level 1"):
                 run(state, params, SolverConfig(tau=0.1, T=0.1))
+
+    def test_fields_must_be_numpy_arrays(self):
+        mesh = generate_square(1.0, 2)
+        params = default_params(B=30.0, C=3.0, kappa=0.0)
+        n = mesh.n_nodes
+        listed = SimState(0.0, mesh, [0.0] * n, [0.5] * n)  # make_state would convert
+        history = SimState(0.0, mesh, np.zeros(n), np.full(n, 0.5),
+                           history=(([0.0] * n, np.zeros(n)),))
+        for state, message in ((listed, "eta must be a numpy array, got list"),
+                               (history, "history level 0 eta must be a numpy array, got list")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                step(state, params, SolverConfig(tau=0.1, T=0.1))
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                run(state, params, SolverConfig(tau=0.1, T=0.1))
+        # an array of integers is a numpy array
+        params = pure_diffusion_params(kappa=0.0)
+        state = SimState(0.0, mesh, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int32))
+        final, _ = run(state, params, SolverConfig(tau=0.1, T=0.2))
+        assert np.all(final.eta == 1.0) and np.all(final.theta == 0.0)
+        assert step(state, params, SolverConfig(tau=0.1, T=0.1)).step_index == 1
 
     def test_non_finite_initial_field_rejected(self):
         mesh = generate_square(1.0, 4)
@@ -403,7 +429,7 @@ class TestPredictedStart:
         # field; after, from the extrapolation checked only against zero
         class CountingMatrix:
             def __init__(self, A):
-                self.A, self.products = A, 0
+                self.A, self.shape, self.products = A, A.shape, 0
 
             def __matmul__(self, x):
                 self.products += 1
@@ -553,8 +579,7 @@ class TestRun:
     def setup_method(self):
         self.mesh = generate_square(2.0, 8)
         self.params = default_params(B=30.0, C=3.0, rho=2.0, kappa=0.0)
-        fields = initial_condition(self.mesh, self.params, seed=1)
-        self.state = make_state(self.mesh, fields.eta, fields.theta)
+        self.state = initial_condition(self.mesh, self.params, seed=1)
 
     def test_zero_horizon_returns_initial_state(self):
         final, series = run(self.state, self.params, SolverConfig(tau=0.1, T=0.0))
@@ -608,6 +633,13 @@ class TestRun:
         )
         assert [k for k, _ in seen] == [0, 2, 4, 5]
         assert all(total > 0.0 for _, total in seen)
+
+    def test_observers_from_a_generator(self):
+        # taken once at entry: a generator would otherwise be used up at step 0
+        seen = []
+        observers = (obs for obs in [lambda s, m: seen.append(s.step_index)])
+        run(self.state, self.params, SolverConfig(tau=0.1, T=0.5), observers=observers, stride=2)
+        assert seen == [0, 2, 4, 5]
 
     @pytest.mark.parametrize("kappa", [0.0, 0.2])
     def test_observers_receive_the_mass_diagonal(self, kappa):
@@ -959,9 +991,7 @@ class TestLongLabyrinthRun:
         cfg = load_config(preset=1)
         mesh = generate_square(cfg.domain.size, cfg.domain.resolution)
         params = cfg.kinetics_params()
-        fields = initial_condition(mesh, params, amplitude=cfg.amplitude,
-                                   seed=cfg.seed)
-        state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
+        state = initial_condition(mesh, params, amplitude=cfg.amplitude, seed=cfg.seed)
         final, series = run(state, params, cfg.solver, stride=10)
         assert not series.stopped, series.stop_reason
         assert final.t == pytest.approx(12.0, rel=1e-9)

@@ -156,6 +156,20 @@ class TestWriteVtk:
         with pytest.raises(ValueError, match="eta"):
             write_vtk(tmp_path / "bad.vtk", small_mesh, point_data={"eta": np.zeros(5)})
 
+    def test_fields_must_hold_real_numbers(self, tmp_path, small_mesh):
+        # a complex field would lose its imaginary part with only a warning
+        path = tmp_path / "bad.vtk"
+        for values, kind in ((np.full(9, 1.0 + 2.0j), "complex128"), (["x"] * 9, "<U1")):
+            with pytest.raises(ValueError,
+                               match=rf"^point_data field 'a' must hold real numbers, got {kind}$"):
+                write_vtk(path, small_mesh, point_data={"eta": np.zeros(9), "a": values})
+            assert not path.exists()
+        # bool and integer fields are real numbers, written as doubles
+        fields = {"flag": np.arange(9) % 2 == 0, "small": np.arange(9, dtype=np.uint8)}
+        write_vtk(tmp_path / "new.vtk", small_mesh, point_data=fields)
+        reference_write_vtk(tmp_path / "ref.vtk", small_mesh, point_data=fields)
+        assert_same_bytes(tmp_path / "new.vtk", tmp_path / "ref.vtk")
+
 
 class TestNamesAndTitles:
     @pytest.mark.parametrize(
@@ -272,8 +286,7 @@ class TestSnapshot:
         level = 2
         mesh = generate_icosphere(3.0, level)
         params = default_params(B=30.0, C=3.0, rho=2.0, kappa=0.2)
-        fields = initial_condition(mesh, params, seed=4)
-        state = SimState(t=0.0, mesh=mesh, eta=fields.eta, theta=fields.theta)
+        state = initial_condition(mesh, params, seed=4)
         final, _ = run(state, params, SolverConfig(tau=1e-2, T=0.05), stride=5)
         path = tmp_path / "evolved.vtk"
         export_mesh_snapshot(final, path)
